@@ -24,7 +24,6 @@ from .errors import (
     DataError,
     FlowCdeError,
     NumericError,
-    SolverError,
     StructuralError,
 )
 from .heads import GaussHead, LVHead, MDNHead, NFHead, make_head
@@ -58,7 +57,6 @@ __all__ = [
     "NormStats",
     "NumericError",
     "PriorConfig",
-    "SolverError",
     "StructuralError",
     "TrainConfig",
     "VariationalPosterior",

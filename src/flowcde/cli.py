@@ -138,7 +138,7 @@ SETTINGS = {
         "checkpoint": (str, "", "checkpoint path (required)"),
         "condition": (_parse_condition, "", "feature values, raw units (required)"),
         "n": (int, "1000", "number of draws"),
-        "mc": (int, "20", "network draws to mix over"),
+        "mc": (int, "20", "network draws to mix over (a 2nd chain stage takes one per draw)"),
         "seed": (int, "0", "sampling seed"),
         "out": (str, "samples", "output directory (under FLOWCDE_OUT)"),
     },
@@ -468,6 +468,14 @@ def cmd_eval(values, raw, meta):
     _check_data_hash(meta, data)
     ds = load_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"row {i}: log predictive density is {ll[i]} "
+            f"({bad.size} rows non-finite); refusing to report a mean",
+            index=i,
+        )
     n = ll.size
     mean = float(ll.mean())
     sem = float(ll.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -498,11 +506,8 @@ def cmd_sample(values, raw, meta):
     if ckpt.kind == "autoreg":
         model = ckpt.model
         first = model_sample(model.stage1, x_row, n, mc, rng)
-        second = np.empty(n)
-        for i in range(n):
-            second[i] = model_sample(
-                model.stage2, np.append(x_row, first[i]), 1, mc, rng
-            )[0]
+        rows = np.column_stack([np.broadcast_to(x_row, (n, x_row.size)), first])
+        second = model_sample(model.stage2, rows, n, mc, rng)
         cols = np.empty((n, 2))
         cols[:, model.order[0]] = first
         cols[:, model.order[1]] = second

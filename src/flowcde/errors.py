@@ -25,10 +25,6 @@ class NumericError(FlowCdeError, ArithmeticError):
         self.index = index
 
 
-class SolverError(NumericError):
-    """Root finding failed to bracket or converge (corrupt parameters)."""
-
-
 class DataError(FlowCdeError, ValueError):
     """Dataset ingestion or schema problems."""
 

@@ -8,8 +8,10 @@ output shift ``s``.
 
 Densities run in the inverted direction: the observation is pulled back to a
 standard normal base variable, so evaluating ``log p(y)`` needs no root
-finding, while sampling inverts each stage numerically (bisection; the
-transform has no closed-form inverse).
+finding.  Sampling inverts each stage, and in 1D a stage has a closed-form
+inverse: the root of a quadratic in |z - gamma| (see ``stage_inverse``).
+The "no closed-form inverse" of radial flows (Rezende & Mohamed 2015,
+arXiv:1505.05770) holds for D > 1 only.
 
 The log-derivative of a stage at its centre equals ``beta_hat`` exactly,
 which gives both a cheap test oracle and a direct reading of each stage's
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, StructuralError
+from .errors import StructuralError
 from .tape import Var, exp, log1p, softplus
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
     "stage_apply",
     "log_density_params",
     "log_density_batch",
-    "invert_stage",
+    "stage_inverse",
     "sample",
 ]
 
@@ -211,85 +213,40 @@ class FlowStack:
         return log_density_batch(self.to_vector(), y)
 
 
-def _stage_bracket(t, alpha, beta, gamma):
-    """An interval guaranteed to straddle the root of f(z) = t.
+def stage_inverse(t, alpha_hat, beta_hat, gamma):
+    """Solve f(z) = t for one stage in closed form; broadcasts.
 
-    |f(z) - z| <= alpha * |beta|, so widening by that bound plus one unit
-    around the target always brackets; the caller still verifies.
+    With u = t - gamma, z = gamma + sign(u) * r, where r >= 0 is the root of
+    r^2 + c r - alpha |u| = 0 and c = alpha (1 + beta) - |u|.  Each branch
+    picks the form without cancellation, and hypot keeps |t| near 1e200
+    finite.
     """
-    pad = 2.0 * np.abs(t - gamma) + alpha * (1.0 + np.abs(beta)) + 1.0
-    return gamma - pad, gamma + pad
+    alpha, beta = constrain(alpha_hat, beta_hat)
+    u = np.asarray(t, dtype=float) - gamma
+    a = np.abs(u)
+    c = alpha * (1.0 + beta) - a
+    h = np.hypot(c, 2.0 * np.sqrt(alpha * a))
+    pos = c > 0
+    r = np.where(pos, 2.0 * alpha * a, 0.5 * (h - c)) / np.where(pos, c + h, 1.0)
+    return gamma + np.copysign(r, u)
 
 
-def invert_stage(t, alpha_hat, beta_hat, gamma, tol=1e-10, max_iter=200):
-    """Solve f(z) = t for one stage by bisection.
-
-    f is strictly increasing, so the analytic bracket always straddles; the
-    doubling fallback only fires on corrupt (non-finite) parameters, where it
-    eventually raises SolverError.
-    """
-    alpha = float(np.logaddexp(0.0, alpha_hat))
-    beta = float(np.expm1(beta_hat))
-
-    def f(z):
-        d = z - gamma
-        return z + alpha * beta * d / (alpha + abs(d))
-
-    lo, hi = _stage_bracket(t, alpha, beta, gamma)
-    lo, hi = float(lo), float(hi)
-    grew = 0
-    while not (f(lo) <= t <= f(hi)):
-        width = hi - lo
-        lo -= width
-        hi += width
-        grew += 1
-        if grew > 60 or not np.isfinite(width):
-            raise SolverError(f"cannot bracket inverse at t={t!r}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - t) < tol:
-            return mid
-        if fm < t:
-            lo = mid
-        else:
-            hi = mid
-    raise SolverError(f"bisection failed to converge at t={t!r}")
-
-
-def _invert_stage_many(t, alpha_hat, beta_hat, gamma, tol=1e-10, max_iter=200):
-    """Vectorised bisection over an array of targets (one shared stage)."""
-    alpha = float(np.logaddexp(0.0, alpha_hat))
-    beta = float(np.expm1(beta_hat))
-    t = np.asarray(t, dtype=float)
-
-    def f(z):
-        d = z - gamma
-        return z + alpha * beta * d / (alpha + np.abs(d))
-
-    lo, hi = _stage_bracket(t, alpha, beta, gamma)
-    if not (np.all(f(lo) <= t) and np.all(t <= f(hi))):
-        raise SolverError("vectorised inverse failed to bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        done = np.abs(fm - t) < tol
-        if done.all():
-            return mid
-        below = fm < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    raise SolverError("vectorised bisection failed to converge")
-
-
-def sample(stack, n, rng, tol=1e-10):
+def sample(theta, n, rng):
     """Draw n samples: unit-normal base variables pushed through the
-    inverse stages (stage 1 first) and shifted by s."""
+    inverse stages (stage 1 first) and shifted by s.
+
+    ``theta`` is a FlowStack, one packed vector (3K+1,) shared by every draw,
+    or (n, 3K+1) packed vectors, one stack per draw.
+    """
     if n < 1:
         raise StructuralError("need at least one sample")
+    if isinstance(theta, FlowStack):
+        theta = theta.to_vector()
+    theta = np.asarray(theta, dtype=float)
+    width = theta.shape[-1]
+    if (width - 1) % 3 != 0 or theta.shape[:-1] not in ((), (n,)):
+        raise StructuralError(f"packed flow vectors have bad shape {theta.shape}")
     z = rng.standard_normal(n)
-    for i in range(stack.n_stages):
-        z = _invert_stage_many(
-            z, stack.alpha_hat[i], stack.beta_hat[i], stack.gamma[i], tol=tol
-        )
-    return z + stack.shift
+    for i in range(width // 3):
+        z = stage_inverse(z, theta[..., 3 * i], theta[..., 3 * i + 1], theta[..., 3 * i + 2])
+    return z + theta[..., -1]

@@ -15,7 +15,10 @@ CLI never branch on head internals:
 - ``log_density_rows_np`` / ``log_density_rows_tape``: per-datum log
   densities, vectorised or recorded on a tape, from the (mc, rows, outputs)
   network outputs;
-- ``sample_np``: draws from the conditional density given one output row.
+- ``sample_np(omega, extras, n, rng)``: n draws, one per output block.
+  ``omega`` has shape (n, rows_per_datum, outputs): block i holds the
+  network outputs (one network draw) of the datum that draw i conditions
+  on, so each draw may see its own condition and its own network draw.
 
 Heads:
 
@@ -42,17 +45,25 @@ import numpy as np
 
 from .bnn import GroupPrior, PriorConfig, nf_group_map, nf_prior
 from .errors import ConfigError, StructuralError
-from .flows import FlowStack, LOG_2PI, log_density_batch, log_density_params, sample
+from .flows import LOG_2PI, log_density_batch, log_density_params, sample
 from .tape import Var
 
-__all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head"]
+__all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head", "logsumexp"]
 
 _INV_SOFTPLUS_1 = math.log(math.expm1(1.0))  # softplus(x) = 1
 
 
-def _logsumexp_np(v):
-    m = np.max(v, axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(v - m).sum(axis=-1))
+def logsumexp(v, axis=-1, mean=False):
+    """log sum_i exp(v_i) along axis (log mean exp with ``mean``).
+
+    The shift is the maximum where that is finite and 0 elsewhere, so a slice
+    whose terms are all -inf gives -inf rather than -inf - (-inf) = NaN.
+    """
+    top = np.max(v, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    e = np.exp(v - top)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(top, axis) + np.log(e.mean(axis=axis) if mean else e.sum(axis=axis))
 
 
 def _logsumexp_tape(t, ids):
@@ -106,8 +117,8 @@ class NFHead:
         """Log density over y_grid from one datum's output rows."""
         return log_density_batch(omega_rows[0], np.asarray(y_grid, dtype=float))
 
-    def sample_np(self, omega_row, extras, n, rng):
-        return sample(FlowStack.from_vector(omega_row), n, rng)
+    def sample_np(self, omega, extras, n, rng):
+        return sample(omega[:, 0], n, rng)
 
 
 class MDNHead:
@@ -155,7 +166,7 @@ class MDNHead:
         y = np.asarray(y, dtype=float)[..., None]
         # (y - s) first: shift equivariance then holds bit-exactly
         comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * (((y - s) - mu) / sigma) ** 2
-        return _logsumexp_np(logit + comp) - _logsumexp_np(logit)
+        return logsumexp(logit + comp) - logsumexp(logit)
 
     def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
         t = tape
@@ -193,12 +204,14 @@ class MDNHead:
             omega_rows[0], np.asarray(y_grid, dtype=float), extras
         )
 
-    def sample_np(self, omega_row, extras, n, rng):
-        mu, sig_hat, logit, s = self._split(np.asarray(omega_row, dtype=float))
-        sigma = np.logaddexp(0.0, sig_hat)
-        w = np.exp(logit - _logsumexp_np(logit))
-        picks = rng.choice(self.n_components, size=n, p=w)
-        return mu[picks] + s[0] + sigma[picks] * rng.standard_normal(n)
+    def sample_np(self, omega, extras, n, rng):
+        mu, sig_hat, logit, s = self._split(np.asarray(omega, dtype=float)[:, 0])
+        # inverse-CDF pick of one component per draw, each with its own weights
+        cdf = np.cumsum(np.exp(logit - logit.max(axis=1, keepdims=True)), axis=1)
+        picks = (cdf < rng.random((n, 1)) * cdf[:, -1:]).sum(axis=1)
+        rows = np.arange(n)
+        sigma = np.logaddexp(0.0, sig_hat[rows, picks])
+        return mu[rows, picks] + s[:, 0] + sigma * rng.standard_normal(n)
 
 
 class LVHead:
@@ -242,7 +255,7 @@ class LVHead:
         sigma = float(np.logaddexp(0.0, extras[0]))
         y = np.asarray(y, dtype=float)[None, :, None]
         comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - means) / sigma) ** 2
-        return _logsumexp_np(comp) - math.log(k)
+        return logsumexp(comp) - math.log(k)
 
     def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
         t = tape
@@ -271,14 +284,15 @@ class LVHead:
         sigma = float(np.logaddexp(0.0, extras[0]))
         y = np.asarray(y_grid, dtype=float)[:, None]
         comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - means) / sigma) ** 2
-        return _logsumexp_np(comp) - math.log(means.size)
+        return logsumexp(comp) - math.log(means.size)
 
-    def sample_np(self, omega_rows, extras, n, rng):
-        """omega_rows holds the per-noise-draw means for one datum."""
-        means = np.asarray(omega_rows, dtype=float).reshape(-1)
+    def sample_np(self, omega, extras, n, rng):
+        """Each block holds the per-noise-draw means of one datum; a draw
+        picks one of them."""
+        means = np.asarray(omega, dtype=float)[..., 0]
         sigma = float(np.logaddexp(0.0, extras[0]))
-        picks = rng.choice(means.size, size=n)
-        return means[picks] + sigma * rng.standard_normal(n)
+        picks = rng.integers(means.shape[1], size=n)
+        return means[np.arange(n), picks] + sigma * rng.standard_normal(n)
 
 
 class GaussHead:
@@ -330,9 +344,9 @@ class GaussHead:
         y = np.asarray(y_grid, dtype=float)
         return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - omega_rows[0, 0]) / sigma) ** 2
 
-    def sample_np(self, omega_row, extras, n, rng):
+    def sample_np(self, omega, extras, n, rng):
         sigma = float(np.logaddexp(0.0, extras[0]))
-        return float(omega_row[0]) + sigma * rng.standard_normal(n)
+        return np.asarray(omega, dtype=float)[:, 0, 0] + sigma * rng.standard_normal(n)
 
 
 def make_head(name, n_stages=5, n_components=5, n_noise=5, noise_dim=1):

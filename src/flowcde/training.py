@@ -26,6 +26,7 @@ import numpy as np
 
 from .bnn import TapeParams, draw_eps
 from .errors import NumericError, StructuralError
+from .heads import logsumexp
 from .tape import Tape
 
 __all__ = [
@@ -250,8 +251,7 @@ def predictive_log_density(model, x, y, mc, rng):
     eps = draw_eps(net.arch, rng, mc, x_rows.shape[0])
     omega = net.forward_np(x_rows, eps)
     ld = head.log_density_rows_np(omega, y, model.extras)  # (mc, B)
-    m = ld.max(axis=0)
-    return m + np.log(np.exp(ld - m).mean(axis=0))
+    return logsumexp(ld, axis=0, mean=True)
 
 
 def predictive_curve(model, x, y_grid, mc, rng):
@@ -268,31 +268,34 @@ def predictive_curve(model, x, y_grid, mc, rng):
             ld[m, b] = head.curve_log_density(
                 omega[m, b * per : (b + 1) * per], model.extras, y_grid
             )
-    top = ld.max(axis=0)
-    return top + np.log(np.exp(ld - top).mean(axis=0))
+    return logsumexp(ld, axis=0, mean=True)
 
 
-def model_sample(model, x_row, n, mc, rng):
-    """n draws from the posterior-predictive at one conditioning point.
+def model_sample(model, x, n, mc, rng):
+    """n draws from the posterior predictive.
 
-    Network draws are allocated round-robin over the n samples.
+    ``x`` is one condition (d,), or an (n, d) block with one condition per
+    draw.  For one condition, mc network draws are shared round-robin over
+    the n samples; for a block, each row gets its own network draw.
+    Non-finite draws (corrupt parameters) raise NumericError.
     """
     if n < 1:
         raise StructuralError("need at least one sample")
     net, head = model.net, model.head
-    x = np.asarray(x_row, dtype=float).reshape(1, -1)
-    x_rows, per = head.prepare_inputs(x, rng)
-    eps = draw_eps(net.arch, rng, mc, x_rows.shape[0])
-    omega = net.forward_np(x_rows, eps)  # (mc, per, P)
-    counts = np.full(mc, n // mc)
-    counts[: n % mc] += 1
-    out = []
-    for m in range(mc):
-        if counts[m] == 0:
-            continue
-        rows = omega[m]
-        if head.name == "lv":
-            out.append(head.sample_np(rows, model.extras, int(counts[m]), rng))
-        else:
-            out.append(head.sample_np(rows[0], model.extras, int(counts[m]), rng))
-    return np.concatenate(out)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        rows, per = head.prepare_inputs(x.reshape(1, -1), rng)
+        omega = net.forward_np(rows, draw_eps(net.arch, rng, mc, rows.shape[0]))
+        blocks = omega[np.arange(n) % mc]  # (n, per, P)
+    else:
+        if x.shape[0] != n:
+            raise StructuralError(f"{n} draws need {n} condition rows, got {x.shape[0]}")
+        rows, per = head.prepare_inputs(x, rng)
+        omega = net.forward_np(rows, draw_eps(net.arch, rng, 1, rows.shape[0]))
+        blocks = omega[0].reshape(n, per, -1)
+    draws = head.sample_np(blocks, model.extras, n, rng)
+    bad = np.flatnonzero(~np.isfinite(draws))
+    if bad.size:
+        raise NumericError(f"non-finite draw {int(bad[0])} (corrupt model parameters?)",
+                           index=int(bad[0]))
+    return draws

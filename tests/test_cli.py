@@ -221,6 +221,21 @@ def test_eval_summary_and_sem(trained, tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_refuses_zero_predictive_density(trained, tmp_path, capsys):
+    data = tmp_path / "far.csv"
+    rows = ["x,y"] + [f"{i * 0.1},{i * 0.05}" for i in range(8)] + ["0.3,1e200"]
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "ev"
+    code = run("eval", f"checkpoint={trained / 'checkpoint.ckpt'}", f"data={data}",
+               "mc=5", f"out={out}")
+    assert code == 4
+    printed = capsys.readouterr()
+    assert "nan" not in printed.out + printed.err
+    assert "row 8" in printed.err
+    assert not (out / "summary.txt").exists()
+
+
 def test_raw_units_shift_equals_jacobian(trained, tmp_path):
     from flowcde.checkpoint import load_checkpoint
 

@@ -1,4 +1,4 @@
-"""Radial stage math, stack densities, inversion, and serialisation.
+"""Radial stage math, stack densities, closed-form inversion, and serialisation.
 
 Reference log-density values were frozen from a 40-digit mpmath evaluation
 of the same closed forms; normalisation and sampling checks use trapezoid
@@ -12,16 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcde.errors import SolverError, StructuralError
+from flowcde.errors import StructuralError
 from flowcde.flows import (
     FlowStack,
     constrain,
-    invert_stage,
     log_density_batch,
     log_density_params,
     sample,
     stage_apply,
     stage_forward,
+    stage_inverse,
     stage_log_grad,
 )
 from flowcde.tape import Tape, Var, grad_check
@@ -163,13 +163,32 @@ def test_tape_value_matches_numpy_value():
 def test_invert_stage_round_trip():
     val = stage_forward(0.9, 0.5, 0.8, 0.3)
     assert val == pytest.approx(1.3550366558737404, rel=1e-15)
-    back = invert_stage(val, 0.5, 0.8, 0.3, tol=1e-13)
+    back = stage_inverse(val, 0.5, 0.8, 0.3)
     assert back == pytest.approx(0.9, abs=1e-12)
 
 
-def test_invert_stage_rejects_nan():
-    with pytest.raises(SolverError):
-        invert_stage(float("nan"), 0.5, 0.8, 0.3)
+@pytest.mark.parametrize("bh", [0.8, -2.0, -40.0])  # -40: beta rounds to -1
+def test_invert_stage_extremes(bh):
+    ah, g = 0.5, 0.3
+    assert stage_inverse(g, ah, bh, g) == g
+    for t in (1e200, -1e200):
+        z = stage_inverse(t, ah, bh, g)
+        assert np.isfinite(z) and z == pytest.approx(t, rel=1e-15)
+    for z in (-2.0, 0.29, 0.8, 7.0):
+        t = stage_forward(z, ah, bh, g)
+        assert stage_inverse(t, ah, bh, g) == pytest.approx(z, abs=1e-12)
+
+
+def test_sample_broadcasts_one_stack_per_draw():
+    rng = np.random.default_rng(8)
+    stacks = [random_stack(rng, 3) for _ in range(2)]
+    theta = np.stack([stacks[i % 2].to_vector() for i in range(6)])
+    got = sample(theta, 6, np.random.default_rng(1))
+    for i, stack in enumerate(stacks):
+        want = sample(stack, 6, np.random.default_rng(1))
+        assert np.array_equal(got[i::2], want[i::2])
+    with pytest.raises(StructuralError):
+        sample(theta, 5, np.random.default_rng(1))
 
 
 def test_sample_shapes_and_determinism():
@@ -281,7 +300,7 @@ def test_stage_forward_strictly_increasing(ah, bh, g, z1, z2):
 @given(finite_param, finite_param, finite_param, st.floats(-8.0, 8.0))
 def test_round_trip_property(ah, bh, g, z):
     t = stage_forward(z, ah, bh, g)
-    assert invert_stage(t, ah, bh, g, tol=1e-13) == pytest.approx(z, abs=1e-10)
+    assert stage_inverse(t, ah, bh, g) == pytest.approx(z, abs=1e-10)
 
 
 @settings(max_examples=80, deadline=None)

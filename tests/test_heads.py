@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcde.errors import ConfigError, StructuralError
-from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, make_head
+from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.tape import Tape, Var, grad_check
 
 INV_SP1 = math.log(math.expm1(1.0))  # softplus -> 1
@@ -138,7 +140,7 @@ def test_mdn_sampling_matches_density():
     head = MDNHead(2)
     omega = np.array([-2.0, INV_SP1, 0.4, 2.0, INV_SP1, -0.4, 0.5])
     rng = np.random.default_rng(3)
-    draws = head.sample_np(omega, np.empty(0), 40_000, rng)
+    draws = head.sample_np(np.broadcast_to(omega, (40_000, 1, 7)), np.empty(0), 40_000, rng)
     grid = np.linspace(-40, 40, 400_001)
     dens = np.exp(
         head.log_density_rows_np(np.broadcast_to(omega, (1, grid.size, 7)), grid, np.empty(0))[0]
@@ -234,7 +236,8 @@ def test_gauss_head_density():
 def test_gauss_sampling_moments():
     head = GaussHead()
     extras = np.array([math.log(math.expm1(0.7))])
-    draws = head.sample_np(np.array([2.0]), extras, 200_000, np.random.default_rng(0))
+    omega = np.full((200_000, 1, 1), 2.0)
+    draws = head.sample_np(omega, extras, 200_000, np.random.default_rng(0))
     assert draws.mean() == pytest.approx(2.0, abs=0.01)
     assert draws.std() == pytest.approx(0.7, abs=0.01)
 
@@ -284,3 +287,37 @@ def test_head_gradients_match_finite_differences(head, n_rows):
     point = list(rng.normal(size=mc * n_rows * head.output_dim)) + list(head.init_extras())
     f = head_scalar_fn(head, mc, n_rows, y)
     assert grad_check(f, point, step=1e-6) < 1e-6
+
+
+def test_logsumexp_all_minus_inf_is_minus_inf():
+    v = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [1.0, 2.0]])
+    got = logsumexp(v)
+    assert got[0] == -np.inf
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(2.0 + math.log1p(math.exp(-1.0)), rel=1e-15)
+    assert logsumexp(v, axis=0, mean=True)[1] == pytest.approx(2.0 - math.log(3.0), rel=1e-15)
+
+
+extreme_targets = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e200, -1e200, 1e300, -1e300, 1e-300]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.sampled_from([NFHead(2), NFHead(0), MDNHead(3), LVHead(n_noise=3), GaussHead()]),
+    y=st.lists(extreme_targets, min_size=1, max_size=4),
+    seed=st.integers(0, 999),
+)
+def test_log_density_at_extreme_targets_is_never_nan(head, y, seed):
+    rng = np.random.default_rng(seed)
+    y = np.array(y)
+    per = head.n_noise if isinstance(head, LVHead) else 1
+    omega = rng.normal(0.0, 2.0, size=(2, y.size * per, head.output_dim))
+    extras = head.init_extras() + rng.normal(size=head.n_extras)
+    ld = head.log_density_rows_np(omega, y, extras)
+    curve = head.curve_log_density(omega[0, :per], extras, y)
+    for out in (ld, curve):
+        assert not np.isnan(out).any()
+        assert (np.isfinite(out) | (out == -np.inf)).all()

@@ -21,6 +21,7 @@ from flowcde.training import (
     free_energy,
     free_energy_value,
     model_sample,
+    predictive_curve,
     predictive_log_density,
     train,
 )
@@ -344,8 +345,59 @@ def test_model_sample_runs_for_every_head():
         draws = model_sample(model, np.zeros(2), 7, 3, np.random.default_rng(2))
         assert draws.shape == (7,)
         assert np.isfinite(draws).all()
+        block = model_sample(model, np.ones((5, 2)), 5, 3, np.random.default_rng(2))
+        assert block.shape == (5,)
+        with pytest.raises(StructuralError):
+            model_sample(model, np.ones((4, 2)), 5, 3, np.random.default_rng(2))
     with pytest.raises(StructuralError):
         model_sample(model, np.zeros(2), 0, 3, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_model_sample_rejects_non_finite_draws(name):
+    model = build_model(make_head(name, n_stages=1, n_components=2, n_noise=3))
+    model.set_trainable(np.full(model.trainable_vector().size, np.nan))
+    for x in (np.zeros(2), np.zeros((4, 2))):
+        with pytest.raises(NumericError):
+            model_sample(model, x, 4, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_model_sample_block_matches_predictive_cdf_per_condition(name):
+    # one network draw per row: each half of an alternating block follows the
+    # posterior predictive at its own condition (KS bound of criterion 04).
+    # The reference averages 20 curves: one curve holds the lv head's noise
+    # inputs fixed, so a single call is a poor estimate of its predictive.
+    head = make_head(name, n_stages=2, n_components=2, n_noise=16)
+    model = build_model(head, x_dim=1, hidden=(5,), sigma_q=0.2, seed=4)
+    conds = np.array([[-1.0], [1.0]])
+    n = 20_000
+    draws = model_sample(model, conds[np.arange(2 * n) % 2], 2 * n, 1,
+                         np.random.default_rng(7))
+    grid = np.linspace(-20.0, 20.0, 8001)
+    rng = np.random.default_rng(8)
+    pdf = np.mean([np.exp(predictive_curve(model, conds, grid, 50, rng)) for _ in range(20)],
+                  axis=0)
+    for i in range(2):
+        cdf = np.concatenate(
+            [[0.0], np.cumsum(np.diff(grid) * 0.5 * (pdf[i, 1:] + pdf[i, :-1]))]
+        )
+        cdf /= cdf[-1]
+        at = np.interp(np.sort(draws[i::2]), grid, cdf)
+        steps = np.arange(1, n + 1) / n
+        d = float(np.maximum(np.abs(steps - at), np.abs(steps - 1.0 / n - at)).max())
+        assert d < 0.02
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_predictive_density_at_far_out_targets_is_minus_inf(name):
+    model = build_model(make_head(name, n_stages=2, n_components=2, n_noise=3), x_dim=1)
+    x = np.zeros((3, 1))
+    ll = predictive_log_density(model, x, np.array([0.0, 1e200, -1e200]), 5,
+                                np.random.default_rng(0))
+    assert np.isfinite(ll[0]) and (ll[1:] == -np.inf).all()
+    curve = predictive_curve(model, x[:1], np.array([0.0, 1e200]), 5, np.random.default_rng(0))
+    assert np.isfinite(curve[0, 0]) and curve[0, 1] == -np.inf
 
 
 # -- invariants ----------------------------------------------------------------
