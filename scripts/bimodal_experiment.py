@@ -31,8 +31,7 @@ from flowcde.training import (
 
 def build_model(head_name, hidden, sigma_q, seed):
     head = make_head(head_name, n_stages=5, n_components=5, n_noise=5)
-    in_dim = 1 + (head.noise_dim if head.name == "lv" else 0)
-    arch = MLPArchitecture(in_dim, hidden, head.output_dim)
+    arch = MLPArchitecture(1 + head.extra_input_dim, hidden, head.output_dim)
     post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode="fixed")
     net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
     return CdeModel(net, head, head.init_extras())

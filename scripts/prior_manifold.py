@@ -45,10 +45,7 @@ def main():
     for lam in args.lambdas:
         for sb in args.sigma_betas:
             prior = head.default_prior(1.0, lam, sb)
-            dens = sample_prior_cde(
-                arch, prior, head.group_map(), args.seed, x_grid, y_grid,
-                head.omega_log_density,
-            )
+            dens = sample_prior_cde(arch, prior, head, args.seed, x_grid, y_grid)
             path = args.out / f"prior_lambda{lam:g}_beta{sb:g}.csv"
             with open(path, "w") as fh:
                 fh.write("x,y,density\n")

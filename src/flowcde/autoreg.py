@@ -55,10 +55,7 @@ class AutoregModel:
             )
 
     def _base_inputs(self, model):
-        dim = model.net.arch.input_dim
-        if model.head.name == "lv":
-            dim -= model.head.noise_dim
-        return dim
+        return model.net.arch.input_dim - model.head.extra_input_dim
 
     @property
     def n_features(self):

@@ -572,20 +572,18 @@ def sample_prior_parameters(net_or_arch, prior, output_groups, seed):
     return split["w_mean"], split["b_mean"]
 
 
-def sample_prior_cde(arch, prior, output_groups, seed, x_grid, y_grid, omega_log_density):
+def sample_prior_cde(arch, prior, head, seed, x_grid, y_grid):
     """Density grid (len(x_grid), len(y_grid)) of one prior-sampled CDE.
 
-    omega_log_density(omega_row, y_grid) -> log densities; the head supplies
-    it so this module stays head-agnostic.
+    The head scores the whole grid in one call, at its initial extras; it
+    must add no network inputs of its own (``head.extra_input_dim == 0``).
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if x_grid.size == 0 or y_grid.size == 0:
         raise StructuralError("grids must be non-empty")
-    ws, bs = sample_prior_parameters(arch, prior, output_groups, seed)
+    ws, bs = sample_prior_parameters(arch, prior, head.group_map(), seed)
     xs = x_grid.reshape(-1, 1) if x_grid.ndim == 1 else x_grid
     omega = mlp_forward(ws, bs, xs, prior.lambda_)
-    out = np.empty((xs.shape[0], y_grid.size))
-    for i in range(xs.shape[0]):
-        out[i] = np.exp(omega_log_density(omega[i], y_grid))
-    return out
+    y = np.broadcast_to(y_grid, (xs.shape[0], y_grid.size))
+    return np.exp(head.log_density_rows_np(omega[None], y, head.init_extras())[0])

@@ -71,20 +71,10 @@ def _parse_names(s):
     return tuple(t for t in s.split(",") if t)
 
 
-def _head_settings(head):
-    if head.name == "nf":
-        return {"n_stages": head.n_stages}
-    if head.name == "mdn":
-        return {"n_components": head.n_components}
-    if head.name == "lv":
-        return {"n_noise": head.n_noise, "noise_dim": head.noise_dim}
-    return {}
-
-
 def _write_model(put, prefix, model):
     head, net, post = model.head, model.net, model.net.posterior
     put(prefix + "head.name", head.name)
-    for k, v in _head_settings(head).items():
+    for k, v in head.settings().items():
         put(prefix + "head." + k, v)
     put(prefix + "arch.input_dim", net.arch.input_dim)
     put(prefix + "arch.hidden", ",".join(str(h) for h in net.arch.hidden_layers))

@@ -344,8 +344,7 @@ def _build_model(values, n_inputs, seed):
         n_noise=values["n_noise"],
         noise_dim=values["noise_dim"],
     )
-    dim = n_inputs + (head.noise_dim if head.name == "lv" else 0)
-    arch = MLPArchitecture(dim, values["hidden"], head.output_dim)
+    arch = MLPArchitecture(n_inputs + head.extra_input_dim, values["hidden"], head.output_dim)
     if values["mode"] not in ("fixed", "learned"):
         raise ConfigError(f"mode must be fixed or learned, got {values['mode']!r}")
     post = init_posterior(arch, seed=seed, sigma_init=values["sigma_q"], mode=values["mode"])
@@ -405,6 +404,7 @@ def _fit(values, out):
 
 
 def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
+    """Per-row log predictive densities; a non-finite row raises NumericError."""
     nds = apply_stats(ckpt.stats, raw_ds) if ckpt.stats else raw_ds
     rng = np.random.default_rng(seed)
     if ckpt.kind == "autoreg":
@@ -413,7 +413,25 @@ def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
         ll = predictive_log_density(ckpt.model, nds.x, nds.y[:, 0], mc, rng)
     if raw_units and ckpt.stats is not None:
         ll = ll + ckpt.stats.log_jacobian
+    bad = np.flatnonzero(~np.isfinite(ll))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"row {i}: log predictive density is {ll[i]} "
+            f"({bad.size} rows non-finite); refusing to report a mean",
+            index=i,
+        )
     return ll
+
+
+def _normalize_rows(ckpt, rows):
+    """Raw feature rows (no nan) -> normalized expanded feature rows."""
+    if ckpt.stats is None:
+        return rows
+    kinds = tuple("cyclic-hour" if f in ckpt.cyclic else "numeric" for f in ckpt.features)
+    probe = Dataset(rows, np.zeros((len(rows), len(ckpt.targets))),
+                    feature_names=ckpt.features, target_names=ckpt.targets, kinds=kinds)
+    return apply_stats(ckpt.stats, probe).x
 
 
 def _normalize_condition(ckpt, condition):
@@ -426,16 +444,7 @@ def _normalize_condition(ckpt, condition):
         )
     row = np.asarray(condition, dtype=float)
     filled = np.where(np.isnan(row), 0.0, row)  # placeholder through the pipeline
-    probe = Dataset(
-        filled[None, :],
-        np.zeros((1, len(ckpt.targets))),
-        feature_names=ckpt.features,
-        target_names=ckpt.targets,
-        kinds=tuple(
-            "cyclic-hour" if f in ckpt.cyclic else "numeric" for f in ckpt.features
-        ),
-    )
-    out = apply_stats(ckpt.stats, probe).x[0] if ckpt.stats else filled
+    out = _normalize_rows(ckpt, filled[None, :])[0]
     # restore nan marks on the expanded columns of missing raw features
     expanded_from = []
     for f in ckpt.features:
@@ -468,14 +477,6 @@ def cmd_eval(values, raw, meta):
     _check_data_hash(meta, data)
     ds = load_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
-    bad = np.flatnonzero(~np.isfinite(ll))
-    if bad.size:
-        i = int(bad[0])
-        raise NumericError(
-            f"row {i}: log predictive density is {ll[i]} "
-            f"({bad.size} rows non-finite); refusing to report a mean",
-            index=i,
-        )
     n = ll.size
     mean = float(ll.mean())
     sem = float(ll.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -537,6 +538,28 @@ def _invert_cdf(grid, cdf, q):
     return 0.5 * (lo + hi)
 
 
+def _refuse_nan(dens):
+    bad = np.argwhere(np.isnan(dens))
+    if bad.size:
+        raise NumericError(
+            f"density at grid cell {tuple(int(i) for i in bad[0])} is NaN "
+            f"({len(bad)} cells); refusing to write a heatmap"
+        )
+
+
+def _quantile_row(grid, log_pdf, row):
+    """(median, q025, q975) of one density row by trapezoid quadrature."""
+    pdf = np.exp(log_pdf)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (pdf[1:] + pdf[:-1]))])
+    if not 0.0 < cdf[-1] < math.inf:
+        raise NumericError(
+            f"heatmap row {row}: density integrates to {cdf[-1]} over the target "
+            "grid; refusing to write quantiles"
+        )
+    cdf /= cdf[-1]
+    return [_invert_cdf(grid, cdf, q) for q in (0.5, 0.025, 0.975)]
+
+
 def _heatmap_1d(values, ckpt, out):
     stats = ckpt.stats
     cond = values["condition"] or (math.nan,) * len(ckpt.features)
@@ -551,22 +574,16 @@ def _heatmap_1d(values, ckpt, out):
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     rows_raw = np.tile(np.asarray(cond, dtype=float), (x_grid.size, 1))
     rows_raw[:, j] = x_grid
-    probe = Dataset(
-        rows_raw,
-        np.zeros((x_grid.size, 1)),
-        feature_names=ckpt.features,
-        target_names=ckpt.targets,
-        kinds=tuple(
-            "cyclic-hour" if f in ckpt.cyclic else "numeric" for f in ckpt.features
-        ),
-    )
-    xn = apply_stats(stats, probe).x if stats else rows_raw
+    xn = _normalize_rows(ckpt, rows_raw)
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
     y_mu = stats.y_mean[0] if stats else 0.0
     y_sd = stats.y_std[0] if stats else 1.0
     yn = (y_grid - y_mu) / y_sd
     rng = np.random.default_rng(values["seed"])
     curves = predictive_curve(ckpt.model, xn, yn, values["mc"], rng)  # (Gx, Gy) log
+    _refuse_nan(curves)
+    want_q = values["quantiles"]
+    quantiles = [_quantile_row(yn, c, a) for a, c in enumerate(curves)] if want_q else []
     dens = np.exp(curves)
     if values["raw_units"]:
         dens = dens / y_sd
@@ -578,16 +595,11 @@ def _heatmap_1d(values, ckpt, out):
                 fh.write(
                     f"{x_grid[a]:.17g},{y_grid[b]:.17g},{emitted[a, b]:.17g}\n"
                 )
-    if values["quantiles"]:
+    if want_q:
         with open(out / "quantiles.csv", "w") as fh:
             fh.write("x,median,q025,q975\n")
-            for a in range(x_grid.size):
-                pdf = np.exp(curves[a])
-                cdf = np.concatenate(
-                    [[0.0], np.cumsum(np.diff(yn) * 0.5 * (pdf[1:] + pdf[:-1]))]
-                )
-                cdf /= cdf[-1]
-                qs = [_invert_cdf(yn, cdf, q) * y_sd + y_mu for q in (0.5, 0.025, 0.975)]
+            for a, row in enumerate(quantiles):
+                qs = [q * y_sd + y_mu for q in row]
                 fh.write(
                     f"{x_grid[a]:.17g},{qs[0]:.17g},{qs[1]:.17g},{qs[2]:.17g}\n"
                 )
@@ -616,6 +628,7 @@ def _heatmap_2d(values, ckpt, out):
         mc=values["mc"],
         rng=np.random.default_rng(values["seed"]),
     )
+    _refuse_nan(dens)
     if values["raw_units"]:
         dens = dens / jac
     if values["cap"] > 0:
@@ -650,8 +663,10 @@ def cmd_prior_sample(values, raw, meta):
         n_stages=values["n_stages"],
         n_components=values["n_components"],
     )
-    if not hasattr(head, "omega_log_density"):
-        raise ConfigError(f"head {head.name!r} has no prior visualization")
+    if head.extra_input_dim:
+        raise ConfigError(
+            f"head {head.name!r} takes noise inputs of its own; it has no prior visualization"
+        )
     arch = MLPArchitecture(values["input_dim"], values["hidden"], head.output_dim)
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
@@ -661,10 +676,7 @@ def cmd_prior_sample(values, raw, meta):
         for lam in values["lambdas"]:
             for sb in values["sigma_betas"]:
                 prior = head.default_prior(values["sigma_w"], lam, sb)
-                dens = sample_prior_cde(
-                    arch, prior, head.group_map(), seed, x_grid, y_grid,
-                    head.omega_log_density,
-                )
+                dens = sample_prior_cde(arch, prior, head, seed, x_grid, y_grid)
                 name = f"prior_seed{seed}_lambda{lam:g}_beta{sb:g}.csv"
                 with open(out / name, "w") as fh:
                     fh.write("x,y,density\n")

@@ -1,7 +1,7 @@
 """Likelihood heads turning network outputs into conditional densities.
 
-Every head exposes the same duck-typed surface so the training loop and the
-CLI never branch on head internals:
+Every head exposes the same duck-typed surface, so no module outside this
+one branches on a head's name or type:
 
 - ``output_dim``: how many network outputs the head consumes per datum;
 - ``group_map()``: named partition of output indices (drives grouped priors);
@@ -9,12 +9,18 @@ CLI never branch on head internals:
 - ``n_extras`` / ``init_extras()``: trainable scalars owned by the head
   itself (the latent-variable and Gaussian heads carry a global observation
   noise parameter);
+- ``extra_input_dim``: network inputs the head adds to each feature row;
+- ``settings()``: the ``make_head`` keyword arguments that rebuild the head;
 - ``prepare_inputs(x, rng)``: feature rows to push through the network
   (the latent-variable head appends fresh noise columns and replicates each
   datum once per noise sample);
-- ``log_density_rows_np`` / ``log_density_rows_tape``: per-datum log
-  densities, vectorised or recorded on a tape, from the (mc, rows, outputs)
-  network outputs;
+- ``log_density_rows_np(omega, y, extras)``: the one NumPy density, on
+  network outputs omega (mc, B * rows_per_datum, outputs).  Targets y (B,)
+  give (mc, B) log densities; a grid y (B, G) gives (mc, B, G);
+- ``log_density_rows_tape``: the same density recorded on a tape;
+- ``curve_log_density(omega_rows, extras, y_grid)``: one datum's (G,) curve,
+  a one-line call into ``log_density_rows_np``.  Each class keeps it in its
+  own ``__dict__`` because ``perfbench`` looks it up there by name;
 - ``sample_np(omega, extras, n, rng)``: n draws, one per output block.
   ``omega`` has shape (n, rows_per_datum, outputs): block i holds the
   network outputs (one network draw) of the datum that draw i conditions
@@ -66,6 +72,11 @@ def logsumexp(v, axis=-1, mean=False):
         return np.squeeze(top, axis) + np.log(e.mean(axis=axis) if mean else e.sum(axis=axis))
 
 
+def _per_target(a, y):
+    """Insert one axis after the (mc, B) axes of ``a`` per grid axis of y."""
+    return a.reshape(a.shape[:2] + (1,) * (np.ndim(y) - 1) + a.shape[2:])
+
+
 def _logsumexp_tape(t, ids):
     # detached max keeps exp arguments <= 0; gradients are unaffected since
     # the shift is a recorded constant
@@ -79,12 +90,16 @@ class NFHead:
 
     name = "nf"
     n_extras = 0
+    extra_input_dim = 0
 
     def __init__(self, n_stages):
         if n_stages < 0:
             raise StructuralError("n_stages must be >= 0")
         self.n_stages = int(n_stages)
         self.output_dim = 3 * self.n_stages + 1
+
+    def settings(self):
+        return {"n_stages": self.n_stages}
 
     def group_map(self):
         return nf_group_map(self.n_stages)
@@ -99,7 +114,7 @@ class NFHead:
         return np.asarray(x, dtype=float), 1
 
     def log_density_rows_np(self, omega, y, extras):
-        return log_density_batch(omega, np.asarray(y, dtype=float))
+        return log_density_batch(_per_target(np.asarray(omega, dtype=float), y), y)
 
     def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
         mc, batch, _ = omega_ids.shape
@@ -110,12 +125,8 @@ class NFHead:
                 out[m, b] = log_density_params(params, float(y[b])).id
         return out
 
-    def omega_log_density(self, omega_row, y_grid):
-        return log_density_batch(omega_row, y_grid)
-
     def curve_log_density(self, omega_rows, extras, y_grid):
-        """Log density over y_grid from one datum's output rows."""
-        return log_density_batch(omega_rows[0], np.asarray(y_grid, dtype=float))
+        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         return sample(omega[:, 0], n, rng)
@@ -126,12 +137,16 @@ class MDNHead:
 
     name = "mdn"
     n_extras = 0
+    extra_input_dim = 0
 
     def __init__(self, n_components):
         if n_components < 1:
             raise StructuralError("n_components must be >= 1")
         self.n_components = int(n_components)
         self.output_dim = 3 * self.n_components + 1
+
+    def settings(self):
+        return {"n_components": self.n_components}
 
     def group_map(self):
         c = self.n_components
@@ -161,7 +176,7 @@ class MDNHead:
         )
 
     def log_density_rows_np(self, omega, y, extras):
-        mu, sig_hat, logit, s = self._split(np.asarray(omega, dtype=float))
+        mu, sig_hat, logit, s = self._split(_per_target(np.asarray(omega, dtype=float), y))
         sigma = np.logaddexp(0.0, sig_hat)
         y = np.asarray(y, dtype=float)[..., None]
         # (y - s) first: shift equivariance then holds bit-exactly
@@ -196,13 +211,8 @@ class MDNHead:
                 )
         return out
 
-    def omega_log_density(self, omega_row, y_grid):
-        return self.log_density_rows_np(omega_row, y_grid, np.empty(0))
-
     def curve_log_density(self, omega_rows, extras, y_grid):
-        return self.log_density_rows_np(
-            omega_rows[0], np.asarray(y_grid, dtype=float), extras
-        )
+        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         mu, sig_hat, logit, s = self._split(np.asarray(omega, dtype=float)[:, 0])
@@ -214,18 +224,12 @@ class MDNHead:
         return mu[rows, picks] + s[:, 0] + sigma * rng.standard_normal(n)
 
 
-class LVHead:
-    """Latent-variable head: noise inputs in, Gaussian mixture over draws out."""
+class _MeanHead:
+    """One mean output per network row and a learned global noise scale
+    sigma_out = softplus(extras[0])."""
 
-    name = "lv"
     output_dim = 1
     n_extras = 1
-
-    def __init__(self, n_noise=5, noise_dim=1):
-        if n_noise < 1 or noise_dim < 1:
-            raise StructuralError("n_noise and noise_dim must be >= 1")
-        self.n_noise = int(n_noise)
-        self.noise_dim = int(noise_dim)
 
     def group_map(self):
         return {"mean": (0,)}
@@ -235,6 +239,22 @@ class LVHead:
 
     def init_extras(self):
         return np.array([_INV_SOFTPLUS_1])
+
+
+class LVHead(_MeanHead):
+    """Latent-variable head: noise inputs in, Gaussian mixture over draws out."""
+
+    name = "lv"
+
+    def __init__(self, n_noise=5, noise_dim=1):
+        if n_noise < 1 or noise_dim < 1:
+            raise StructuralError("n_noise and noise_dim must be >= 1")
+        self.n_noise = int(n_noise)
+        self.noise_dim = int(noise_dim)
+        self.extra_input_dim = self.noise_dim
+
+    def settings(self):
+        return {"n_noise": self.n_noise, "noise_dim": self.noise_dim}
 
     def prepare_inputs(self, x, rng):
         """Each datum becomes n_noise rows [x, z_j], z fresh per call."""
@@ -251,9 +271,9 @@ class LVHead:
         k = self.n_noise
         mc = omega.shape[0]
         b = omega.shape[1] // k
-        means = omega[..., 0].reshape(mc, b, k)
+        means = _per_target(omega[..., 0].reshape(mc, b, k), y)
         sigma = float(np.logaddexp(0.0, extras[0]))
-        y = np.asarray(y, dtype=float)[None, :, None]
+        y = np.asarray(y, dtype=float)[..., None]
         comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - means) / sigma) ** 2
         return logsumexp(comp) - math.log(k)
 
@@ -280,11 +300,7 @@ class LVHead:
         return out
 
     def curve_log_density(self, omega_rows, extras, y_grid):
-        means = np.asarray(omega_rows, dtype=float).reshape(-1)
-        sigma = float(np.logaddexp(0.0, extras[0]))
-        y = np.asarray(y_grid, dtype=float)[:, None]
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - means) / sigma) ** 2
-        return logsumexp(comp) - math.log(means.size)
+        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         """Each block holds the per-noise-draw means of one datum; a draw
@@ -295,27 +311,20 @@ class LVHead:
         return means[np.arange(n), picks] + sigma * rng.standard_normal(n)
 
 
-class GaussHead:
+class GaussHead(_MeanHead):
     """Homoscedastic Gaussian: network mean, learned global noise scale."""
 
     name = "gauss"
-    output_dim = 1
-    n_extras = 1
+    extra_input_dim = 0
 
-    def group_map(self):
-        return {"mean": (0,)}
-
-    def default_prior(self, sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
-        return PriorConfig(sigma_w, lambda_, {"mean": GroupPrior(0.0, 1.0)})
-
-    def init_extras(self):
-        return np.array([_INV_SOFTPLUS_1])
+    def settings(self):
+        return {}
 
     def prepare_inputs(self, x, rng):
         return np.asarray(x, dtype=float), 1
 
     def log_density_rows_np(self, omega, y, extras):
-        mean = omega[..., 0]
+        mean = _per_target(omega[..., 0], y)
         sigma = float(np.logaddexp(0.0, extras[0]))
         y = np.asarray(y, dtype=float)
         return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - mean) / sigma) ** 2
@@ -335,14 +344,8 @@ class GaussHead:
                 )
         return out
 
-    def omega_log_density(self, omega_row, y_grid):
-        # unit noise scale: prior visualisation has no fitted extras
-        return -0.5 * LOG_2PI - 0.5 * (np.asarray(y_grid) - omega_row[0]) ** 2
-
     def curve_log_density(self, omega_rows, extras, y_grid):
-        sigma = float(np.logaddexp(0.0, extras[0]))
-        y = np.asarray(y_grid, dtype=float)
-        return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - omega_rows[0, 0]) / sigma) ** 2
+        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         sigma = float(np.logaddexp(0.0, extras[0]))

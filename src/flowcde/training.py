@@ -259,15 +259,11 @@ def predictive_curve(model, x, y_grid, mc, rng):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
     net, head = model.net, model.head
-    rows, per = head.prepare_inputs(x, rng)
+    rows, _ = head.prepare_inputs(x, rng)
     eps = draw_eps(net.arch, rng, mc, rows.shape[0])
     omega = net.forward_np(rows, eps)
-    ld = np.empty((mc, x.shape[0], y_grid.size))
-    for m in range(mc):
-        for b in range(x.shape[0]):
-            ld[m, b] = head.curve_log_density(
-                omega[m, b * per : (b + 1) * per], model.extras, y_grid
-            )
+    y = np.broadcast_to(y_grid, (x.shape[0], y_grid.size))
+    ld = head.log_density_rows_np(omega, y, model.extras)  # (mc, B, G)
     return logsumexp(ld, axis=0, mean=True)
 
 

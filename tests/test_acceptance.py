@@ -64,8 +64,7 @@ def report(num, ok, detail):
 def build_cde(head_name, n_inputs, hidden, seed, n_stages=5, sigma_q=0.01,
               lambda_=1.0, sigma_beta=1.0):
     head = make_head(head_name, n_stages=n_stages, n_components=5, n_noise=3)
-    in_dim = n_inputs + (head.noise_dim if head.name == "lv" else 0)
-    arch = MLPArchitecture(in_dim, hidden, head.output_dim)
+    arch = MLPArchitecture(n_inputs + head.extra_input_dim, hidden, head.output_dim)
     post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode="fixed")
     prior = head.default_prior(1.0, lambda_, sigma_beta)
     net = BayesianMLP(arch, post, prior, head.group_map())
@@ -434,10 +433,7 @@ def test_criterion_09_prior_manifold_gaussian_columns_and_lambda_spread():
     y_grid = np.linspace(-12.0, 12.0, 961)
 
     # zero beta-hat prior scale: every column must be an exact unit Gaussian
-    dens = sample_prior_cde(
-        arch, head.default_prior(1.0, 1.0, 0.0), head.group_map(), 7,
-        x_grid, y_grid, head.omega_log_density,
-    )
+    dens = sample_prior_cde(arch, head.default_prior(1.0, 1.0, 0.0), head, 7, x_grid, y_grid)
     worst_ks = 0.0
     for col in dens:
         mass = np.trapezoid(col, y_grid)

@@ -15,7 +15,7 @@ from flowcde.autoreg import (
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.data import toy_true_log_density
 from flowcde.errors import ConfigError, StructuralError
-from flowcde.heads import NFHead
+from flowcde.heads import LVHead, NFHead
 from flowcde.training import (
     CdeModel,
     TrainConfig,
@@ -43,6 +43,23 @@ def autoreg(n_stages=0, sigma_q=1e-12, zero=True, order=(0, 1), hidden=(6,)):
         nf_model(2, n_stages, sigma_q, seed=4, hidden=hidden, zero=zero),
         order=order,
     )
+
+
+def test_lv_stages_count_features_without_their_noise_inputs():
+    def lv_model(in_dim, seed):
+        head = LVHead(n_noise=2, noise_dim=3)
+        arch = MLPArchitecture(in_dim + head.extra_input_dim, (4,), head.output_dim)
+        post = init_posterior(arch, seed=seed, sigma_init=0.1, mode="fixed")
+        net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
+        return CdeModel(net, head, head.init_extras())
+
+    model = AutoregModel(lv_model(2, 0), lv_model(3, 1))
+    assert model.n_features == 2 and model.stage2_features == 3
+    grid = np.linspace(-2.0, 2.0, 5)
+    dens = density_grid(model, [0.1, np.nan], grid, grid, mc=2, rng=np.random.default_rng(0))
+    assert dens.shape == (5, 5) and np.isfinite(dens).all()
+    with pytest.raises(StructuralError):
+        AutoregModel(lv_model(2, 0), lv_model(2, 1))
 
 
 def test_deterministic_zero_flow_joint_value():

@@ -19,7 +19,7 @@ from flowcde.bnn import (
     sample_prior_parameters,
 )
 from flowcde.errors import ConfigError, NumericError, StructuralError
-from flowcde.flows import log_density_batch
+from flowcde.heads import NFHead
 from flowcde.tape import Tape
 
 
@@ -343,9 +343,7 @@ def test_prior_cde_zero_beta_is_gaussian():
     prior = nf_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=0.0)
     xg = np.linspace(-2, 2, 9)
     yg = np.linspace(-6, 6, 121)
-    grid = sample_prior_cde(
-        arch, prior, nf_group_map(1), 3, xg, yg, log_density_batch
-    )
+    grid = sample_prior_cde(arch, prior, NFHead(1), 3, xg, yg)
     ws, bs = sample_prior_parameters(arch, prior, nf_group_map(1), 3)
     omega = mlp_forward(ws, bs, xg.reshape(-1, 1), 1.0)
     for i in range(xg.size):
@@ -358,7 +356,7 @@ def test_prior_cde_columns_normalized():
     prior = nf_prior(sigma_w=1.0, lambda_=2.0, sigma_beta=1.0)
     xg = np.linspace(-2, 2, 5)
     yg = np.linspace(-12, 12, 2401)
-    grid = sample_prior_cde(arch, prior, nf_group_map(2), 11, xg, yg, log_density_batch)
+    grid = sample_prior_cde(arch, prior, NFHead(2), 11, xg, yg)
     masses = np.trapezoid(grid, yg, axis=1)
     assert np.all(np.abs(masses - 1.0) < 1e-2)
 

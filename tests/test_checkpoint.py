@@ -14,8 +14,7 @@ from flowcde.training import CdeModel, predictive_log_density
 
 def build_model(name, mode="fixed", in_dim=2, seed=5, **head_kw):
     head = make_head(name, **head_kw)
-    dim = in_dim + (head.noise_dim if head.name == "lv" else 0)
-    arch = MLPArchitecture(dim, (4, 3), head.output_dim)
+    arch = MLPArchitecture(in_dim + head.extra_input_dim, (4, 3), head.output_dim)
     post = init_posterior(arch, seed=seed, sigma_init=0.2, mode=mode)
     net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
     model = CdeModel(net, head, head.init_extras())

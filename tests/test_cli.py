@@ -335,6 +335,42 @@ def test_heatmap_cap(trained, tmp_path):
     assert hm["density"].max() <= 0.05 + 1e-15
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_heatmap_refuses_nan_density(trained, tmp_path, capsys):
+    # targets near the largest float overflow the flow's stages to inf/inf
+    out = tmp_path / "hmnan"
+    assert run(
+        "heatmap",
+        f"checkpoint={trained / 'checkpoint.ckpt'}",
+        "condition=nan",
+        "x_points=3", "y_min=-1.7e308", "y_max=1.7e308", "y_points=5",
+        "mc=3",
+        f"out={out}",
+    ) == 4
+    printed = capsys.readouterr()
+    assert "NaN" in printed.err and "nan" not in printed.out
+    assert not (out / "heatmap.csv").exists()
+    assert not (out / "quantiles.csv").exists()
+
+
+def test_heatmap_refuses_quantiles_of_a_zero_mass_row(trained, tmp_path, capsys):
+    far = ("condition=nan", "x_points=3", "y_min=1e6", "y_max=1.00001e6", "y_points=5",
+           "mc=3")
+    out = tmp_path / "hmzero"
+    assert run("heatmap", f"checkpoint={trained / 'checkpoint.ckpt'}", *far,
+               f"out={out}") == 4
+    printed = capsys.readouterr()
+    assert "integrates to 0" in printed.err and "nan" not in printed.out
+    assert not (out / "heatmap.csv").exists()
+    assert not (out / "quantiles.csv").exists()
+    # the densities themselves are a valid (all-zero) heatmap
+    out = tmp_path / "hmzero_noq"
+    assert run("heatmap", f"checkpoint={trained / 'checkpoint.ckpt'}", *far,
+               "quantiles=false", f"out={out}") == 0
+    hm = np.genfromtxt(out / "heatmap.csv", delimiter=",", names=True)
+    assert np.all(hm["density"] == 0.0)
+
+
 def test_heatmap_needs_exactly_one_swept_feature(trained, tmp_path):
     assert run(
         "heatmap",
@@ -471,6 +507,21 @@ def test_single_point_grid_matches_plain_train(toy, tmp_path):
     ).read_bytes()
 
 
+def test_grid_search_refuses_non_finite_valid_ll(toy, tmp_path, monkeypatch, capsys):
+    import flowcde.cli
+
+    monkeypatch.setattr(flowcde.cli, "predictive_log_density",
+                        lambda model, x, y, mc, rng: np.full(len(y), -np.inf))
+    out = tmp_path / "gsinf"
+    assert run(
+        "grid-search", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+        "iterations=2", "mc_train=2", "grid.n_stages=1;2", f"out={out}",
+    ) == 4
+    printed = capsys.readouterr()
+    assert "non-finite" in printed.err and "nan" not in printed.out
+    assert not (out / "results.csv").exists()
+
+
 def test_empty_grid_exits_2(toy, tmp_path):
     assert run(
         "grid-search", f"data={toy / 'data.csv'}", "features=x",
@@ -550,6 +601,20 @@ def test_autoreg_heatmap_mass(trained2, tmp_path):
     g2 = hm["y2"].reshape(g1.size, -1)[0]
     mass = np.trapezoid(np.trapezoid(dens, g2, axis=1), g1)
     assert mass == pytest.approx(1.0, abs=5e-2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path):
+    out = tmp_path / "hmnan"
+    assert run(
+        "heatmap",
+        f"checkpoint={trained2 / 'checkpoint.ckpt'}",
+        "condition=0.5",
+        "y_points=5", "y2_min=-1.7e308", "y2_max=1.7e308", "y2_points=5",
+        "marginal_samples=1", "mc=3",
+        f"out={out}",
+    ) == 4
+    assert not (out / "heatmap.csv").exists()
 
 
 # -- environment --------------------------------------------------------------------

@@ -289,6 +289,16 @@ def test_head_gradients_match_finite_differences(head, n_rows):
     assert grad_check(f, point, step=1e-6) < 1e-6
 
 
+@pytest.mark.parametrize("head,extra_inputs", [
+    (NFHead(0), 0), (NFHead(3), 0), (MDNHead(4), 0),
+    (LVHead(n_noise=2, noise_dim=3), 3), (GaussHead(), 0),
+])
+def test_settings_rebuild_an_equal_head(head, extra_inputs):
+    back = make_head(head.name, **head.settings())
+    assert type(back) is type(head) and vars(back) == vars(head)
+    assert back.extra_input_dim == extra_inputs
+
+
 def test_logsumexp_all_minus_inf_is_minus_inf():
     v = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [1.0, 2.0]])
     got = logsumexp(v)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior, mlp_forward
+from flowcde.bnn import BayesianMLP, MLPArchitecture, draw_eps, init_posterior, mlp_forward
 from flowcde.errors import NumericError, StructuralError
-from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, make_head
+from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.training import (
     AdamState,
     CdeModel,
@@ -30,8 +30,7 @@ HALF_LOG_2PI = 0.9189385332046727
 
 
 def build_model(head, x_dim=2, hidden=(5,), mode="fixed", sigma_q=0.35, seed=3):
-    in_dim = x_dim + (head.noise_dim if head.name == "lv" else 0)
-    arch = MLPArchitecture(in_dim, hidden, head.output_dim)
+    arch = MLPArchitecture(x_dim + head.extra_input_dim, hidden, head.output_dim)
     post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode=mode)
     net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
     return CdeModel(net, head, head.init_extras())
@@ -398,6 +397,29 @@ def test_predictive_density_at_far_out_targets_is_minus_inf(name):
     assert np.isfinite(ll[0]) and (ll[1:] == -np.inf).all()
     curve = predictive_curve(model, x[:1], np.array([0.0, 1e200]), 5, np.random.default_rng(0))
     assert np.isfinite(curve[0, 0]) and curve[0, 1] == -np.inf
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_predictive_curve_equals_one_target_vector_per_grid_value(name):
+    # the (B, G) grid path reproduces G calls on (B,) target vectors, on the
+    # same network outputs; the lv head has 3 output rows per datum
+    head = make_head(name, n_stages=2, n_components=3, n_noise=3)
+    model = build_model(head, mode="learned", seed=6)
+    x = np.random.default_rng(1).standard_normal((4, 2))
+    grid = np.linspace(-3.0, 3.0, 13)
+    mc = 5
+    curve = predictive_curve(model, x, grid, mc, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    rows, per = head.prepare_inputs(x, rng)
+    omega = model.net.forward_np(rows, draw_eps(model.net.arch, rng, mc, rows.shape[0]))
+    want = np.column_stack([
+        logsumexp(head.log_density_rows_np(omega, np.full(x.shape[0], g), model.extras),
+                  axis=0, mean=True)
+        for g in grid
+    ])
+    assert per == (3 if name == "lv" else 1)
+    assert curve.shape == (4, grid.size)
+    np.testing.assert_array_equal(curve, want)
 
 
 # -- invariants ----------------------------------------------------------------
