@@ -4,8 +4,9 @@ A small research toolkit: stacks of invertible radial transforms define a
 flexible one-dimensional conditional density, a mean-field variational
 Bayesian MLP maps conditioning inputs to the flow parameters, and mixture
 density / latent-variable / homoscedastic-Gaussian heads provide baselines.
-Everything trains by stochastic free-energy minimisation on a scalar
-reverse-mode tape; evaluation paths are vectorised numpy.
+Everything trains by stochastic free-energy minimisation, differentiated
+on an array-valued reverse-mode tape that records the same vectorised
+expressions the NumPy evaluation paths compute.
 """
 
 from .autoreg import AutoregModel, density_grid, joint_log_density

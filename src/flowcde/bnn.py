@@ -18,10 +18,11 @@ nothing else.  Output units are partitioned into named groups, each with its
 own bias prior (mean, std) and a zero-mean weight prior of the same std;
 all earlier layers share the zero-mean sigma_w prior.
 
-Two forward implementations share one noise-draw convention (per layer, one
-standard-normal array of shape (mc, batch, units)): a vectorised numpy pass
-for evaluation and a tape pass for training, so common-random-number
-comparisons between them are exact.
+One forward pass serves evaluation and training: written with the generic
+math of :mod:`flowcde.tape`, it runs on posterior arrays (``forward_np``) or
+records itself on a tape from tape-leaf parameters (``forward_tape``).  Both
+take one standard-normal noise array of shape (mc, batch, units) per layer,
+so common-random-number comparisons between them are exact.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, NumericError, StructuralError
-from .tape import Tape
+from .tape import Var, exp, sqrt, tanh
 
 __all__ = [
     "MLPArchitecture",
@@ -356,160 +357,66 @@ class BayesianMLP:
         x is (batch, input_dim); eps a per-layer list of (mc, batch, units)
         standard-normal draws.  Returns (mc, batch, output_dim).
         """
+        return self._forward(x, eps, self.posterior)
+
+    def forward_tape(self, tape, params, x, eps):
+        """forward_np recorded on a tape, a few nodes per layer.
+
+        params is a TapeParams built on ``tape``; each layer records its
+        matrix products and elementwise ops once over the whole (mc, batch,
+        units) block.  Returns a Var of shape (mc, batch, output_dim) whose
+        value equals forward_np's for the same eps, bit for bit.
+        """
+        return self._forward(x, eps, params)
+
+    def _forward(self, x, eps, p):
+        """The pass itself; ``p`` is a VariationalPosterior (arrays) or a
+        TapeParams (Vars), which share attribute names."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise StructuralError(f"x must be (batch, {self.arch.input_dim}), got {x.shape}")
-        post = self.posterior
         last = self.arch.n_layers - 1
         mc = eps[0].shape[0]
         h = np.broadcast_to(x, (mc,) + x.shape)
         for layer in range(self.arch.n_layers):
-            m_w = post.w_means[layer]
-            m_b = post.b_means[layer]
             lam = self.prior.lambda_ if layer == last else 1.0
-            mean_pre = lam * (h @ m_w) + m_b
-            if post.mode == "fixed":
-                sq = post.sigma_q**2
+            a = lam * (h @ p.w_means[layer]) + p.b_means[layer]
+            if p.w_logvars is not None:
+                var_pre = lam * lam * ((h * h) @ exp(p.w_logvars[layer])) + exp(p.b_logvars[layer])
+            elif p.sigma_q > 0.0:
+                sq = p.sigma_q**2
                 var_pre = sq * (lam * lam * (h * h).sum(axis=-1, keepdims=True) + 1.0)
             else:
-                v_w = np.exp(post.w_logvars[layer])
-                v_b = np.exp(post.b_logvars[layer])
-                var_pre = lam * lam * ((h * h) @ v_w) + v_b
-            if (var_pre < 0).any():
-                raise NumericError("negative pre-activation variance")
-            a = mean_pre + eps[layer] * np.sqrt(var_pre)
-            h = np.tanh(a) if layer != last else a
+                var_pre = None  # sigma_q = 0: noiseless, and no NaN from sqrt'(0) on a tape
+            if var_pre is not None:
+                a = a + eps[layer] * sqrt(var_pre)
+            h = tanh(a) if layer != last else a
         return h
-
-    def forward_tape(self, tape, params, x, eps):
-        """Tape-recorded twin of forward_np.
-
-        params is a TapeParams built on the same tape; returns an
-        (mc, batch, output_dim) int array of node ids.  Given the same eps
-        the values agree with forward_np to floating-point rounding (the
-        two paths sum in different orders).
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise StructuralError(f"x must be (batch, {self.arch.input_dim}), got {x.shape}")
-        post = self.posterior
-        learned = post.mode == "learned"
-        lam = self.prior.lambda_
-        last = self.arch.n_layers - 1
-        mc, batch = eps[0].shape[0], eps[0].shape[1]
-        t = tape
-
-        w_cols = [
-            [[int(i) for i in params.w_mean_ids[l][:, u]] for u in range(params.w_mean_ids[l].shape[1])]
-            for l in range(self.arch.n_layers)
-        ]
-        b_ids = [[int(i) for i in params.b_mean_ids[l]] for l in range(self.arch.n_layers)]
-        if learned:
-            # exp(logvar) nodes are shared by every datum on this tape
-            ev_w_cols = []
-            ev_b = []
-            for l in range(self.arch.n_layers):
-                mat = [[t.exp(int(i)) for i in row] for row in params.w_lv_ids[l]]
-                ev_w_cols.append([[row[u] for row in mat] for u in range(len(mat[0]))])
-                ev_b.append([t.exp(int(i)) for i in params.b_lv_ids[l]])
-        sq = None if learned else post.sigma_q**2
-
-        out = np.empty((mc, batch, self.arch.output_dim), dtype=np.int64)
-        for b in range(batch):
-            xb = [float(v) for v in x[b]]
-            xb2 = [v * v for v in xb]
-            for m in range(mc):
-                h_ids = None
-                for layer in range(self.arch.n_layers):
-                    lam_l = lam if layer == last else 1.0
-                    n_units = len(b_ids[layer])
-                    e = eps[layer][m, b]
-                    if h_ids is None:
-                        # input layer: x is data, so the mean is one fused
-                        # node per unit with the noise folded into the const
-                        mean_coeffs = [c * lam_l for c in xb] + [1.0]
-                        if learned:
-                            var_coeffs = [c * lam_l * lam_l for c in xb2] + [1.0]
-                            acts = []
-                            for u in range(n_units):
-                                mean_id = t.lincomb(
-                                    w_cols[layer][u] + [b_ids[layer][u]], mean_coeffs
-                                )
-                                var_id = t.lincomb(
-                                    ev_w_cols[layer][u] + [ev_b[layer][u]], var_coeffs
-                                )
-                                std_id = t.exp(t.mulc(t.log(var_id), 0.5))
-                                acts.append(t.lincomb([mean_id, std_id], [1.0, float(e[u])]))
-                        else:
-                            noise = np.sqrt(sq * (lam_l * lam_l * sum(xb2) + 1.0)) * e
-                            acts = [
-                                t.lincomb(
-                                    w_cols[layer][u] + [b_ids[layer][u]],
-                                    mean_coeffs,
-                                    float(noise[u]),
-                                )
-                                for u in range(n_units)
-                            ]
-                    elif learned:
-                        h2_ids = [t.square(i) for i in h_ids]
-                        acts = []
-                        for u in range(n_units):
-                            vq = t.vdot(ev_w_cols[layer][u], h2_ids)
-                            var_id = t.lincomb([vq, ev_b[layer][u]], [lam_l * lam_l, 1.0])
-                            std_id = t.exp(t.mulc(t.log(var_id), 0.5))
-                            wv = t.vdot(w_cols[layer][u], h_ids)
-                            acts.append(
-                                t.lincomb(
-                                    [wv, b_ids[layer][u], std_id],
-                                    [lam_l, 1.0, float(e[u])],
-                                )
-                            )
-                    elif sq == 0.0:
-                        # degenerate posterior: noiseless pass
-                        acts = [
-                            t.lincomb(
-                                [t.vdot(w_cols[layer][u], h_ids), b_ids[layer][u]],
-                                [lam_l, 1.0],
-                            )
-                            for u in range(n_units)
-                        ]
-                    else:
-                        # tied fixed variance: one std node serves the layer
-                        sumsq = t.vdot(h_ids, h_ids)
-                        var_id = t.addc(t.mulc(sumsq, sq * lam_l * lam_l), sq)
-                        std_id = t.exp(t.mulc(t.log(var_id), 0.5))
-                        acts = [
-                            t.lincomb(
-                                [t.vdot(w_cols[layer][u], h_ids), b_ids[layer][u], std_id],
-                                [lam_l, 1.0, float(e[u])],
-                            )
-                            for u in range(n_units)
-                        ]
-                    if layer != last:
-                        h_ids = [t.tanh(a) for a in acts]
-                    else:
-                        out[m, b] = acts
-        return out
 
 
 class TapeParams:
-    """Trainable posterior scalars registered as tape leaves.
+    """Trainable posterior chunks registered as tape leaves, one per weight
+    matrix or bias vector.
 
-    Leaf order equals the canonical flat layout, so adjoints read back in the
-    same order the optimizer packs parameters.
+    Attribute names mirror VariationalPosterior (``w_means``, ``b_means``,
+    ``w_logvars``, ``b_logvars``, ``sigma_q``), holding Vars instead of
+    arrays.  ``leaves`` lists the chunks in canonical flat layout, so the
+    raveled adjoints concatenate in the order the optimizer packs them.
     """
 
     def __init__(self, tape, posterior):
-        vec = posterior.to_vector()
-        first = len(tape)
-        for v in vec:
-            tape.leaf(v)
-        self.flat_ids = np.arange(first, first + vec.size, dtype=np.int64)
-        split = split_flat(posterior.arch, self.flat_ids, posterior.mode == "learned")
-        self.w_mean_ids = split["w_mean"]
-        self.b_mean_ids = split["b_mean"]
-        self.w_lv_ids = split["w_lv"] if posterior.mode == "learned" else None
-        self.b_lv_ids = split["b_lv"] if posterior.mode == "learned" else None
+        learned = posterior.mode == "learned"
+        chunks = {"w_mean": [], "b_mean": [], "w_lv": [], "b_lv": []}
+        self.leaves = []
+        for kind, layer, _shape in _layout(posterior.arch, learned):
+            leaf = Var(tape, tape.leaf(posterior._chunk_array(kind, layer)))
+            chunks[kind].append(leaf)
+            self.leaves.append(leaf)
+        self.w_means = chunks["w_mean"]
+        self.b_means = chunks["b_mean"]
+        self.w_logvars = chunks["w_lv"] if learned else None
+        self.b_logvars = chunks["b_lv"] if learned else None
+        self.sigma_q = posterior.sigma_q
 
 
 def draw_eps(arch, rng, mc, n_rows):

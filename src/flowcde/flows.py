@@ -18,8 +18,11 @@ which gives both a cheap test oracle and a direct reading of each stage's
 maximum density distortion.
 
 All math helpers here are generic: they accept floats, numpy arrays, or
-:class:`~flowcde.tape.Var` tape scalars, so the training path records the
-same expressions the evaluation path vectorises.
+:class:`~flowcde.tape.Var` tape arrays, so the training path records the
+same expressions the evaluation path vectorises.  Each stage moves z by
+``beta * r * d`` with ``r = alpha / (alpha + |d|) <= 1``, a term bounded by
+``|beta| * alpha``, so targets out to the largest float give a finite
+density or -inf, never NaN.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .tape import Var, exp, log1p, softplus
+from .tape import expm1, log1p, softplus
 
 __all__ = [
     "FlowStack",
@@ -46,22 +49,14 @@ __all__ = [
 LOG_2PI = 1.8378770664093453
 
 
-def _expm1(x):
-    if isinstance(x, Var):
-        return exp(x) - 1.0
-    return np.expm1(x)
-
-
 def constrain(alpha_hat, beta_hat):
     """Map unconstrained stage parameters to (alpha > 0, beta >= -1)."""
-    return softplus(alpha_hat), _expm1(beta_hat)
+    return softplus(alpha_hat), expm1(beta_hat)
 
 
 def stage_forward(z, alpha_hat, beta_hat, gamma):
     """Apply one radial stage to z."""
-    alpha, beta = constrain(alpha_hat, beta_hat)
-    d = z - gamma
-    return z + alpha * beta * d / (alpha + abs(d))
+    return stage_apply(z, alpha_hat, beta_hat, gamma)[0]
 
 
 def stage_log_grad(z, alpha_hat, beta_hat, gamma):
@@ -81,17 +76,18 @@ def stage_apply(z, alpha_hat, beta_hat, gamma):
     d = z - gamma
     denom = alpha + abs(d)
     r = alpha / denom
-    z_next = z + alpha * beta * d / denom
-    return z_next, log1p(beta * r * r)
+    return z + beta * r * d, log1p(beta * r * r)
 
 
 def log_density_params(params, y):
     """Log density at y for one packed parameter vector.
 
     ``params`` is a flat sequence ``[ah_1, bh_1, g_1, ..., ah_K, bh_K, g_K, s]``
-    of floats or tape Vars.  The observation is shifted by -s, pushed through
-    stages K..1 (stage K touches it first), and scored under the unit normal
-    base; stage log-derivatives accumulate along the way.
+    of floats, or of same-shape arrays or tape Vars holding one stack per
+    element (the training path passes column views of the network output).
+    The observation is shifted by -s, pushed through stages K..1 (stage K
+    touches it first), and scored under the unit normal base; stage
+    log-derivatives accumulate along the way.
     """
     n = len(params)
     if n < 1 or (n - 1) % 3 != 0:
@@ -126,7 +122,7 @@ def log_density_batch(theta, y):
         denom = alpha + np.abs(d)
         r = alpha / denom
         total += np.log1p(beta * r * r)
-        z += alpha * beta * d / denom
+        z += beta * r * d
     return total - 0.5 * (LOG_2PI + z * z)
 
 

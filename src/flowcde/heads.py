@@ -17,7 +17,12 @@ one branches on a head's name or type:
 - ``log_density_rows_np(omega, y, extras)``: the one NumPy density, on
   network outputs omega (mc, B * rows_per_datum, outputs).  Targets y (B,)
   give (mc, B) log densities; a grid y (B, G) gives (mc, B, G);
-- ``log_density_rows_tape``: the same density recorded on a tape;
+- ``log_density_rows_tape(tape, omega, y, extras)``: the same density
+  recorded on a tape from Vars (omega (mc, rows, outputs), extras
+  (n_extras,)) against targets y (B,); returns a (mc, B) Var.  The MDN,
+  latent-variable and Gaussian heads run one expression on arrays or Vars;
+  the flow head records ``flows.log_density_params`` on column views of
+  omega, while its NumPy path keeps the in-place ``log_density_batch``;
 - ``curve_log_density(omega_rows, extras, y_grid)``: one datum's (G,) curve,
   a one-line call into ``log_density_rows_np``.  Each class keeps it in its
   own ``__dict__`` because ``perfbench`` looks it up there by name;
@@ -52,37 +57,16 @@ import numpy as np
 from .bnn import GroupPrior, PriorConfig, nf_group_map, nf_prior
 from .errors import ConfigError, StructuralError
 from .flows import LOG_2PI, log_density_batch, log_density_params, sample
-from .tape import Var
+from .tape import log, logsumexp, softplus, square
 
 __all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head", "logsumexp"]
 
 _INV_SOFTPLUS_1 = math.log(math.expm1(1.0))  # softplus(x) = 1
 
 
-def logsumexp(v, axis=-1, mean=False):
-    """log sum_i exp(v_i) along axis (log mean exp with ``mean``).
-
-    The shift is the maximum where that is finite and 0 elsewhere, so a slice
-    whose terms are all -inf gives -inf rather than -inf - (-inf) = NaN.
-    """
-    top = np.max(v, axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    e = np.exp(v - top)
-    with np.errstate(divide="ignore"):
-        return np.squeeze(top, axis) + np.log(e.mean(axis=axis) if mean else e.sum(axis=axis))
-
-
 def _per_target(a, y):
     """Insert one axis after the (mc, B) axes of ``a`` per grid axis of y."""
     return a.reshape(a.shape[:2] + (1,) * (np.ndim(y) - 1) + a.shape[2:])
-
-
-def _logsumexp_tape(t, ids):
-    # detached max keeps exp arguments <= 0; gradients are unaffected since
-    # the shift is a recorded constant
-    m = max(t.vals[i] for i in ids)
-    s = t.sum([t.exp(t.addc(i, -m)) for i in ids])
-    return t.addc(t.log(s), m)
 
 
 class NFHead:
@@ -116,14 +100,8 @@ class NFHead:
     def log_density_rows_np(self, omega, y, extras):
         return log_density_batch(_per_target(np.asarray(omega, dtype=float), y), y)
 
-    def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
-        mc, batch, _ = omega_ids.shape
-        out = np.empty((mc, batch), dtype=np.int64)
-        for m in range(mc):
-            for b in range(batch):
-                params = [Var(tape, int(i)) for i in omega_ids[m, b]]
-                out[m, b] = log_density_params(params, float(y[b])).id
-        return out
+    def log_density_rows_tape(self, tape, omega, y, extras):
+        return log_density_params([omega[..., j] for j in range(self.output_dim)], y)
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
@@ -176,40 +154,18 @@ class MDNHead:
         )
 
     def log_density_rows_np(self, omega, y, extras):
-        mu, sig_hat, logit, s = self._split(_per_target(np.asarray(omega, dtype=float), y))
-        sigma = np.logaddexp(0.0, sig_hat)
+        return self._log_density(np.asarray(omega, dtype=float), y)
+
+    def log_density_rows_tape(self, tape, omega, y, extras):
+        return self._log_density(omega, y)
+
+    def _log_density(self, omega, y):
+        mu, sig_hat, logit, s = self._split(_per_target(omega, y))
+        sigma = softplus(sig_hat)
         y = np.asarray(y, dtype=float)[..., None]
         # (y - s) first: shift equivariance then holds bit-exactly
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * (((y - s) - mu) / sigma) ** 2
+        comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square(((y - s) - mu) / sigma)
         return logsumexp(logit + comp) - logsumexp(logit)
-
-    def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
-        t = tape
-        mc, batch, _ = omega_ids.shape
-        c = self.n_components
-        out = np.empty((mc, batch), dtype=np.int64)
-        for m in range(mc):
-            for b in range(batch):
-                row = omega_ids[m, b]
-                s_id = int(row[-1])
-                terms = []
-                logits = []
-                for i in range(c):
-                    mu_id, sh_id, lg_id = int(row[3 * i]), int(row[3 * i + 1]), int(row[3 * i + 2])
-                    sig = t.softplus(sh_id)
-                    d = t.div(t.lincomb([mu_id, s_id], [-1.0, -1.0], float(y[b])), sig)
-                    terms.append(
-                        t.lincomb(
-                            [lg_id, t.log(sig), t.square(d)],
-                            [1.0, -1.0, -0.5],
-                            -0.5 * LOG_2PI,
-                        )
-                    )
-                    logits.append(lg_id)
-                out[m, b] = t.add(
-                    _logsumexp_tape(t, terms), t.neg(_logsumexp_tape(t, logits))
-                )
-        return out
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
@@ -268,36 +224,20 @@ class LVHead(_MeanHead):
         return rows, self.n_noise
 
     def log_density_rows_np(self, omega, y, extras):
+        return self._log_density(omega, y, extras)
+
+    def log_density_rows_tape(self, tape, omega, y, extras):
+        return self._log_density(omega, y, extras)
+
+    def _log_density(self, omega, y, extras):
         k = self.n_noise
         mc = omega.shape[0]
         b = omega.shape[1] // k
         means = _per_target(omega[..., 0].reshape(mc, b, k), y)
-        sigma = float(np.logaddexp(0.0, extras[0]))
+        sigma = softplus(extras[0])
         y = np.asarray(y, dtype=float)[..., None]
-        comp = -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - means) / sigma) ** 2
+        comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - means) / sigma)
         return logsumexp(comp) - math.log(k)
-
-    def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
-        t = tape
-        k = self.n_noise
-        mc = omega_ids.shape[0]
-        batch = omega_ids.shape[1] // k
-        sig = t.softplus(int(extra_ids[0]))
-        log_sig = t.log(sig)
-        out = np.empty((mc, batch), dtype=np.int64)
-        for m in range(mc):
-            for b in range(batch):
-                terms = []
-                for j in range(k):
-                    mean_id = int(omega_ids[m, b * k + j, 0])
-                    d = t.div(t.lincomb([mean_id], [-1.0], float(y[b])), sig)
-                    terms.append(
-                        t.lincomb(
-                            [log_sig, t.square(d)], [-1.0, -0.5], -0.5 * LOG_2PI
-                        )
-                    )
-                out[m, b] = t.addc(_logsumexp_tape(t, terms), -math.log(k))
-        return out
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
@@ -324,25 +264,16 @@ class GaussHead(_MeanHead):
         return np.asarray(x, dtype=float), 1
 
     def log_density_rows_np(self, omega, y, extras):
-        mean = _per_target(omega[..., 0], y)
-        sigma = float(np.logaddexp(0.0, extras[0]))
-        y = np.asarray(y, dtype=float)
-        return -0.5 * LOG_2PI - np.log(sigma) - 0.5 * ((y - mean) / sigma) ** 2
+        return self._log_density(omega, y, extras)
 
-    def log_density_rows_tape(self, tape, omega_ids, y, extra_ids):
-        t = tape
-        mc, batch, _ = omega_ids.shape
-        sig = t.softplus(int(extra_ids[0]))
-        log_sig = t.log(sig)
-        out = np.empty((mc, batch), dtype=np.int64)
-        for m in range(mc):
-            for b in range(batch):
-                mean_id = int(omega_ids[m, b, 0])
-                d = t.div(t.lincomb([mean_id], [-1.0], float(y[b])), sig)
-                out[m, b] = t.lincomb(
-                    [log_sig, t.square(d)], [-1.0, -0.5], -0.5 * LOG_2PI
-                )
-        return out
+    def log_density_rows_tape(self, tape, omega, y, extras):
+        return self._log_density(omega, y, extras)
+
+    def _log_density(self, omega, y, extras):
+        mean = _per_target(omega[..., 0], y)
+        sigma = softplus(extras[0])
+        y = np.asarray(y, dtype=float)
+        return -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - mean) / sigma)
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]

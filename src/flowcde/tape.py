@@ -1,25 +1,26 @@
-"""Scalar reverse-mode differentiation on a flat, append-only tape.
+"""Reverse-mode differentiation over arrays on a flat, append-only tape.
 
-A :class:`Tape` stores one node per recorded scalar operation.  Nodes are
-identified by their insertion index, parents always have smaller ids, so
-insertion order is a topological order and the backward sweep is a single
-reverse pass.  The op vocabulary is deliberately small (add, mul, neg, div,
-exp, log, tanh, softplus, abs, square); everything else is composed from it.
+A :class:`Tape` stores one node per recorded array operation: a layer's
+matrix product, one elementwise op over a whole (mc, rows, units) block, a
+sum over an axis, a column slice.  Nodes are identified by their insertion
+index and parents always have smaller ids, so insertion order is a
+topological order and the backward sweep is a single reverse pass.
 
-Node storage is struct-of-arrays for speed: ``vals[i]`` is the forward value
-and ``deps[i]`` a flat tuple ``(parent, local_derivative, ...)``.  Two fused
-builders, :meth:`Tape.lincomb` and :meth:`Tape.vdot`, record a whole linear
-combination or an inner product of tape variables as a single node whose
-local derivatives follow the sum/product rules exactly; values and gradients
-are identical (up to association order) to the op-by-op composition, which
-``tests/test_tape.py`` asserts.
+Node storage is struct-of-arrays: ``vals[i]`` is the forward value (an
+ndarray) and ``deps[i]`` a tuple of ``(parent_id, vjp)`` pairs, where
+``vjp`` maps the node's adjoint to that parent's share of it.  Elementwise
+ops broadcast; the sweep sums each share over the axes its parent was
+broadcast along, so every adjoint comes back in its node's own shape.
+Constants (floats and plain arrays) enter ops directly and record no node.
+
+:class:`Var` (tape + node id) overloads the arithmetic operators, ``@``,
+basic indexing, ``reshape`` and ``sum``, and the generic functions below
+dispatch on it, so closed-form expressions (the network pass, flow and head
+densities) are written once and evaluated either on arrays or on a tape;
+the recorded values equal the array values bit for bit.
 
 Tapes are single-writer.  Independent tapes may be evaluated concurrently;
 there is no shared state.
-
-:class:`Var` is a thin ergonomic wrapper (tape + node id) with operator
-overloading so closed-form expressions (flow densities, likelihood heads)
-can be written once and evaluated either on floats/arrays or on a tape.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ __all__ = [
     "Var",
     "grad_check",
     "exp",
+    "expm1",
     "log",
     "log1p",
+    "logsumexp",
     "tanh",
     "softplus",
     "square",
@@ -44,261 +47,144 @@ __all__ = [
 ]
 
 
-def _softplus_float(x):
-    # stable ln(1+e^x) for any finite x
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-def _sigmoid_float(x):
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _unbroadcast(g, shape):
+    """Sum ``g`` over the axes along which an operand of ``shape`` was
+    broadcast, giving an array of that shape."""
+    g = np.asarray(g)
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 class Tape:
-    """Append-only computation graph over scalars."""
+    """Append-only computation graph over arrays."""
 
     __slots__ = ("vals", "deps", "kinds", "_leaf_ids")
 
     def __init__(self):
-        self.vals: list[float] = []
+        self.vals: list[np.ndarray] = []
         self.deps: list[tuple] = []
         self.kinds: list[str] = []
         self._leaf_ids: list[int] = []
 
-    def __len__(self):
-        return len(self.vals)
-
-    # -- construction -----------------------------------------------------
-
     def leaf(self, value) -> int:
-        """Append an input node (no parents). Constants are leaves too."""
-        v = float(value)
-        self.vals.append(v)
-        self.deps.append(())
-        self.kinds.append("leaf")
-        self._leaf_ids.append(len(self.vals) - 1)
-        return len(self.vals) - 1
+        """Append an input node (no parents) holding a float copy of value."""
+        self._leaf_ids.append(len(self.vals))
+        return self.push("leaf", np.array(value, dtype=float), ())
 
-    def record(self, kind, input_ids, value, local_derivs) -> int:
-        """Generic validated record; the op builders below are shortcuts.
-
-        Raises StructuralError if any input id is not already on the tape.
-        """
-        n = len(self.vals)
-        flat = []
-        if len(input_ids) != len(local_derivs):
-            raise StructuralError(
-                f"{len(input_ids)} inputs but {len(local_derivs)} local derivatives"
-            )
-        for i, d in zip(input_ids, local_derivs):
-            i = int(i)
-            if not 0 <= i < n:
-                raise StructuralError(f"unknown input id {i} (tape has {n} nodes)")
-            flat.append(i)
-            flat.append(float(d))
-        self.vals.append(float(value))
-        self.deps.append(tuple(flat))
+    def push(self, kind, value, deps) -> int:
+        """Append a node; ``deps`` holds (parent_id, vjp) pairs."""
+        self.vals.append(value)
+        self.deps.append(deps)
         self.kinds.append(kind)
         return len(self.vals) - 1
 
-    def parents(self, node_id) -> tuple:
-        """((parent_id, local_derivative), ...) of a node."""
-        d = self.deps[node_id]
-        return tuple((d[k], d[k + 1]) for k in range(0, len(d), 2))
+    def backward(self, output) -> list[np.ndarray]:
+        """Adjoints of sum(output) with respect to every node, by one reverse
+        pass; each adjoint has its node's shape.
 
-    def value(self, node_id) -> float:
-        return self.vals[node_id]
-
-    # -- op builders (unvalidated; ids must come from this tape) ----------
-
-    def add(self, i, j):
-        v = self.vals
-        v.append(v[i] + v[j])
-        self.deps.append((i, 1.0, j, 1.0))
-        self.kinds.append("add")
-        return len(v) - 1
-
-    def addc(self, i, c):
-        v = self.vals
-        v.append(v[i] + c)
-        self.deps.append((i, 1.0))
-        self.kinds.append("add")
-        return len(v) - 1
-
-    def mul(self, i, j):
-        v = self.vals
-        a = v[i]
-        b = v[j]
-        v.append(a * b)
-        self.deps.append((i, b, j, a))
-        self.kinds.append("mul")
-        return len(v) - 1
-
-    def mulc(self, i, c):
-        v = self.vals
-        v.append(v[i] * c)
-        self.deps.append((i, c))
-        self.kinds.append("mul")
-        return len(v) - 1
-
-    def neg(self, i):
-        v = self.vals
-        v.append(-v[i])
-        self.deps.append((i, -1.0))
-        self.kinds.append("neg")
-        return len(v) - 1
-
-    def div(self, i, j):
-        v = self.vals
-        a = v[i]
-        b = v[j]
-        val = a / b
-        v.append(val)
-        self.deps.append((i, 1.0 / b, j, -val / b))
-        self.kinds.append("div")
-        return len(v) - 1
-
-    def exp(self, i):
-        v = self.vals
-        val = math.exp(v[i])
-        v.append(val)
-        self.deps.append((i, val))
-        self.kinds.append("exp")
-        return len(v) - 1
-
-    def log(self, i):
-        v = self.vals
-        x = v[i]
-        v.append(math.log(x))
-        self.deps.append((i, 1.0 / x))
-        self.kinds.append("log")
-        return len(v) - 1
-
-    def tanh(self, i):
-        v = self.vals
-        t = math.tanh(v[i])
-        v.append(t)
-        self.deps.append((i, 1.0 - t * t))
-        self.kinds.append("tanh")
-        return len(v) - 1
-
-    def softplus(self, i):
-        v = self.vals
-        x = v[i]
-        v.append(_softplus_float(x))
-        self.deps.append((i, _sigmoid_float(x)))
-        self.kinds.append("softplus")
-        return len(v) - 1
-
-    def abs(self, i):
-        # subgradient sign(0) = 0: measure-zero kink, keeps backward total
-        v = self.vals
-        x = v[i]
-        v.append(-x if x < 0.0 else x)
-        self.deps.append((i, -1.0 if x < 0.0 else (1.0 if x > 0.0 else 0.0)))
-        self.kinds.append("abs")
-        return len(v) - 1
-
-    def square(self, i):
-        v = self.vals
-        x = v[i]
-        v.append(x * x)
-        self.deps.append((i, 2.0 * x))
-        self.kinds.append("square")
-        return len(v) - 1
-
-    def sum(self, ids):
-        """n-ary add."""
-        v = self.vals
-        tot = 0.0
-        flat = []
-        for i in ids:
-            tot += v[i]
-            flat.append(i)
-            flat.append(1.0)
-        v.append(tot)
-        self.deps.append(tuple(flat))
-        self.kinds.append("add")
-        return len(v) - 1
-
-    def lincomb(self, ids, coeffs, const=0.0):
-        """const + sum(c * x for c, x in zip(coeffs, nodes)) as one node."""
-        v = self.vals
-        tot = const
-        flat = []
-        for i, c in zip(ids, coeffs):
-            tot += c * v[i]
-            flat.append(i)
-            flat.append(c)
-        v.append(tot)
-        self.deps.append(tuple(flat))
-        self.kinds.append("add")
-        return len(v) - 1
-
-    def vdot(self, ids_a, ids_b, bias=None):
-        """sum(a_k * b_k) (+ bias node) as one node, product-rule locals."""
-        v = self.vals
-        tot = 0.0
-        flat = []
-        for i, j in zip(ids_a, ids_b):
-            a = v[i]
-            b = v[j]
-            tot += a * b
-            flat.append(i)
-            flat.append(b)
-            flat.append(j)
-            flat.append(a)
-        if bias is not None:
-            tot += v[bias]
-            flat.append(bias)
-            flat.append(1.0)
-        v.append(tot)
-        self.deps.append(tuple(flat))
-        self.kinds.append("mul")
-        return len(v) - 1
-
-    # -- reverse sweep -----------------------------------------------------
-
-    def backward(self, output) -> list[float]:
-        """Adjoints d(output)/d(node) for every node, by one reverse pass."""
+        Raises NumericError naming the node where a NaN adjoint arose.
+        """
         vals = self.vals
         n = len(vals)
         if not 0 <= output < n:
             raise StructuralError(f"unknown output id {output}")
         deps = self.deps
-        adj = [0.0] * n
-        adj[output] = 1.0
+        adj = [None] * n
+        adj[output] = np.ones_like(vals[output])
         for nid in range(output, -1, -1):
             a = adj[nid]
-            if a == 0.0:
+            if a is None:
                 continue
-            if a != a:
-                raise NumericError(
-                    f"NaN adjoint at node {nid} ({self.kinds[nid]})", node_id=nid
-                )
-            d = deps[nid]
-            for k in range(0, len(d), 2):
-                adj[d[k]] += a * d[k + 1]
+            for pid, vjp in deps[nid]:
+                g = vjp(a)
+                shape = vals[pid].shape
+                if np.shape(g) != shape:
+                    g = _unbroadcast(g, shape)
+                prev = adj[pid]
+                adj[pid] = g if prev is None else prev + g
+        for i, a in enumerate(adj):
+            if a is None:
+                adj[i] = np.zeros_like(vals[i])
+        if any(np.isnan(adj[i]).any() for i in self._leaf_ids):
+            # NaN only flows towards lower ids: the highest NaN node is its source
+            nid = next(i for i in range(output, -1, -1) if np.isnan(adj[i]).any())
+            raise NumericError(f"NaN adjoint at node {nid} ({self.kinds[nid]})", node_id=nid)
         return adj
 
-    def gradient(self, output) -> dict[int, float]:
-        """d(output)/d(leaf) for every leaf node, keyed by node id."""
+    def gradient(self, output) -> dict[int, np.ndarray]:
+        """d sum(output) / d(leaf) for every leaf node, keyed by node id."""
         adj = self.backward(output)
         return {i: adj[i] for i in self._leaf_ids}
 
 
-class Var:
-    """A scalar on a tape, with operator overloading.
+def _record(kind, value, *operands):
+    """Record ``value`` with one (operand, vjp) pair per operand; constant
+    operands get no edge."""
+    tape = None
+    deps = []
+    for x, vjp in operands:
+        if isinstance(x, Var):
+            if tape is not None and x.tape is not tape:
+                raise StructuralError("operands live on different tapes")
+            tape = x.tape
+            deps.append((x.id, vjp))
+    return Var(tape, tape.push(kind, value, tuple(deps)))
 
-    Arithmetic mixes freely with Python floats; each operation appends one
-    node (or two, for float-float-free compositions such as subtraction).
+
+def _value(x):
+    return x.value if isinstance(x, Var) else x
+
+
+def _same(g):
+    return g
+
+
+def _add(x, y):
+    return _record("add", _value(x) + _value(y), (x, _same), (y, _same))
+
+
+def _sub(x, y):
+    return _record("sub", _value(x) - _value(y), (x, _same), (y, np.negative))
+
+
+def _mul(x, y):
+    a, b = _value(x), _value(y)
+    return _record("mul", a * b, (x, lambda g: g * b), (y, lambda g: g * a))
+
+
+def _div(x, y):
+    a, b = _value(x), _value(y)
+    q = a / b
+    return _record("div", q, (x, lambda g: g / b), (y, lambda g: -g * q / b))
+
+
+def _matmul(x, y):
+    """a @ b for a 2-D right operand; the left one may carry batch axes."""
+    a, b = np.asarray(_value(x)), np.asarray(_value(y))
+    if b.ndim != 2:
+        raise StructuralError(f"matmul needs a 2-D right operand, got shape {b.shape}")
+    return _record(
+        "matmul",
+        a @ b,
+        (x, lambda g: g @ b.T),
+        (y, lambda g: a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[1])),
+    )
+
+
+class Var:
+    """An array on a tape, with operator overloading.
+
+    Arithmetic mixes freely with floats and plain arrays, broadcasting as
+    NumPy does; each operation appends one node.
     """
 
     __slots__ = ("tape", "id")
+    __array_ufunc__ = None  # ndarray <op> Var defers to Var's reflected ops
 
     def __init__(self, tape, node_id):
         self.tape = tape
@@ -308,124 +194,195 @@ class Var:
     def value(self):
         return self.tape.vals[self.id]
 
+    @property
+    def shape(self):
+        return self.value.shape
+
+    @property
+    def size(self):
+        return self.value.size
+
+    def __len__(self):
+        return len(self.value)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
     def __float__(self):
-        return self.tape.vals[self.id]
+        return float(self.value.item())
 
     def __repr__(self):
         return f"Var(id={self.id}, value={self.value!r})"
 
     def __add__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            return Var(t, t.add(self.id, other.id))
-        return Var(t, t.addc(self.id, float(other)))
+        return _add(self, other)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _add(other, self)
 
     def __sub__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            return Var(t, t.add(self.id, t.neg(other.id)))
-        return Var(t, t.addc(self.id, -float(other)))
+        return _sub(self, other)
 
     def __rsub__(self, other):
-        t = self.tape
-        return Var(t, t.addc(t.neg(self.id), float(other)))
+        return _sub(other, self)
 
     def __mul__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            return Var(t, t.mul(self.id, other.id))
-        return Var(t, t.mulc(self.id, float(other)))
+        return _mul(self, other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return _mul(other, self)
 
     def __truediv__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            return Var(t, t.div(self.id, other.id))
-        return Var(t, t.mulc(self.id, 1.0 / float(other)))
+        return _div(self, other)
 
     def __rtruediv__(self, other):
-        t = self.tape
-        num = t.leaf(float(other))
-        return Var(t, t.div(num, self.id))
+        return _div(other, self)
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     def __neg__(self):
-        return Var(self.tape, self.tape.neg(self.id))
+        return _record("neg", -self.value, (self, np.negative))
 
     def __abs__(self):
-        return Var(self.tape, self.tape.abs(self.id))
+        # subgradient sign(0) = 0: measure-zero kink, keeps backward total
+        v = self.value
+        return _record("abs", np.abs(v), (self, lambda g: g * np.sign(v)))
+
+    def __getitem__(self, key):
+        """Basic indexing (ints, slices, Ellipsis), e.g. column views."""
+        v = self.value
+
+        def vjp(g):
+            out = np.zeros_like(v)
+            out[key] = g
+            return out
+
+        return _record("index", v[key], (self, vjp))
+
+    def reshape(self, *shape):
+        v = self.value
+        return _record("reshape", v.reshape(*shape), (self, lambda g: g.reshape(v.shape)))
+
+    def sum(self, axis=None, keepdims=False):
+        v = self.value
+
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, v.shape)
+
+        return _record("sum", v.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
 
-# -- generic scalar math: works on Var, floats, and numpy arrays ----------
+# -- generic math: works on Var, floats, and numpy arrays -----------------
 
 
 def exp(x):
     if isinstance(x, Var):
-        return Var(x.tape, x.tape.exp(x.id))
+        e = np.exp(x.value)
+        return _record("exp", e, (x, lambda g: g * e))
     return np.exp(x)
+
+
+def expm1(x):
+    if isinstance(x, Var):
+        e = np.expm1(x.value)
+        return _record("expm1", e, (x, lambda g: g * (e + 1.0)))
+    return np.expm1(x)
 
 
 def log(x):
     if isinstance(x, Var):
-        return Var(x.tape, x.tape.log(x.id))
+        v = x.value
+        return _record("log", np.log(v), (x, lambda g: g / v))
     return np.log(x)
 
 
 def log1p(x):
     if isinstance(x, Var):
-        t = x.tape
-        return Var(t, t.log(t.addc(x.id, 1.0)))
+        v = x.value
+        return _record("log1p", np.log1p(v), (x, lambda g: g / (1.0 + v)))
     return np.log1p(x)
 
 
 def tanh(x):
     if isinstance(x, Var):
-        return Var(x.tape, x.tape.tanh(x.id))
+        t = np.tanh(x.value)
+        return _record("tanh", t, (x, lambda g: g * (1.0 - t * t)))
     return np.tanh(x)
 
 
 def softplus(x):
     if isinstance(x, Var):
-        return Var(x.tape, x.tape.softplus(x.id))
+        v = x.value
+        s = np.logaddexp(0.0, v)
+        # sigmoid(v) = exp(v - softplus(v)), stable for either sign
+        return _record("softplus", s, (x, lambda g: g * np.exp(v - s)))
     return np.logaddexp(0.0, x)
 
 
 def square(x):
     if isinstance(x, Var):
-        return Var(x.tape, x.tape.square(x.id))
+        v = x.value
+        return _record("square", np.square(v), (x, lambda g: g * (2.0 * v)))
     return np.square(x)
 
 
 def sqrt(x):
     if isinstance(x, Var):
-        # composed: exp(0.5 * log(x))
-        t = x.tape
-        return Var(t, t.exp(t.mulc(t.log(x.id), 0.5)))
+        r = np.sqrt(x.value)
+        return _record("sqrt", r, (x, lambda g: g * 0.5 / r))
     return np.sqrt(x)
+
+
+def logsumexp(v, axis=-1, mean=False):
+    """log sum_i exp(v_i) along axis (log mean exp with ``mean``).
+
+    The shift is the maximum where that is finite and 0 elsewhere, so a slice
+    whose terms are all -inf gives -inf rather than -inf - (-inf) = NaN; on a
+    tape such a slice passes back a zero adjoint.
+    """
+    x = _value(v)
+    top = np.max(x, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    e = np.exp(x - top)
+    with np.errstate(divide="ignore"):
+        out = np.squeeze(top, axis) + np.log(e.mean(axis=axis) if mean else e.sum(axis=axis))
+    if not isinstance(v, Var):
+        return out
+
+    def vjp(g):
+        tot = e.sum(axis=axis, keepdims=True)
+        return np.expand_dims(g, axis) * (e / np.where(tot > 0.0, tot, 1.0))
+
+    return _record("logsumexp", out, (v, vjp))
 
 
 def grad_check(f, point, step=1e-5):
     """Worst relative error between tape gradients and central differences.
 
-    ``f`` takes a sequence of scalars (Var or float, interchangeably) and
-    returns a scalar.  The finite-difference side evaluates ``f`` on plain
-    floats, so it is independent of the tape machinery it checks.
+    ``f`` takes the point as one 1-D sequence (a Var on the tape side, a
+    float array on the finite-difference side; both index, slice and
+    iterate alike) and returns a scalar.  The finite-difference side never
+    touches a tape, so it is independent of the machinery it checks.
     """
     if step <= 0.0:
         raise StructuralError("step must be positive")
-    point = [float(x) for x in point]
+    point = np.array(point, dtype=float).reshape(-1)
     tape = Tape()
-    xs = [Var(tape, tape.leaf(x)) for x in point]
+    xs = Var(tape, tape.leaf(point))
     out = f(xs)
     y0 = float(out)
     if not math.isfinite(y0):
         raise NumericError(f"function value {y0} is not finite")
-    adj = tape.backward(out.id)
+    adj = tape.backward(out.id)[xs.id]
     worst = 0.0
-    for i in range(len(point)):
-        bumped = list(point)
+    for i in range(point.size):
+        bumped = point.copy()
         bumped[i] = point[i] + step
         fp = float(f(bumped))
         bumped[i] = point[i] - step
@@ -433,7 +390,7 @@ def grad_check(f, point, step=1e-5):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericError("non-finite value in finite-difference probe")
         numeric = (fp - fm) / (2.0 * step)
-        analytic = adj[xs[i].id]
+        analytic = float(adj[i])
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst

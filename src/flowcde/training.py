@@ -6,9 +6,10 @@ The objective per step is the minibatch free-energy estimate
 
 with the likelihood term rescaled to full-dataset scale and the KL counted
 once, so minibatch gradients are unbiased for the full-data objective.
-log-density terms are recorded on a scalar tape (one tape per step); the KL
-enters as a single fused node whose exact analytic derivative the network
-supplies, and one backward sweep yields all gradients.
+The log-density terms are recorded on an array tape (one tape per step, a
+few nodes per layer operation over the whole minibatch); one backward sweep
+yields their gradients, and the network's exact analytic KL gradient is
+added to the flat result.
 
 Monte Carlo conventions: per free-energy evaluation the rng draws, in order,
 any head input augmentation (latent-variable noise) and then one activation
@@ -19,7 +20,6 @@ random numbers for finite-difference checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .bnn import TapeParams, draw_eps
 from .errors import NumericError, StructuralError
 from .heads import logsumexp
-from .tape import Tape
+from .tape import Tape, Var
 
 __all__ = [
     "TrainConfig",
@@ -122,7 +122,10 @@ def _check_batch(x, y, n_total):
 
 
 def free_energy(model, x, y, n_total, mc, rng, iteration=0):
-    """(report, gradient) of the minibatch free energy, via one tape."""
+    """(report, gradient) of the minibatch free energy, via one tape.
+
+    A non-finite log density or gradient coordinate raises NumericError.
+    """
     x, y = _check_batch(x, y, n_total)
     net, head = model.net, model.head
     x_rows, _ = head.prepare_inputs(x, rng)
@@ -130,40 +133,26 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
 
     tape = Tape()
     tp = TapeParams(tape, net.posterior)
-    extra_ids = [tape.leaf(v) for v in model.extras]
-    omega_ids = net.forward_tape(tape, tp, x_rows, eps)
-    ld_ids = head.log_density_rows_tape(tape, omega_ids, y, extra_ids)
-
+    extras = Var(tape, tape.leaf(model.extras))
+    omega = net.forward_tape(tape, tp, x_rows, eps)
+    ld = head.log_density_rows_tape(tape, omega, y, extras)  # (mc, B)
+    bad = np.argwhere(~np.isfinite(ld.value.T))
+    if bad.size:
+        b, m = (int(i) for i in bad[0])
+        raise NumericError(f"non-finite log density for datum {b} (mc draw {m})", index=b)
     batch = y.shape[0]
-    for b in range(batch):
-        for m in range(mc):
-            if not math.isfinite(tape.value(int(ld_ids[m, b]))):
-                raise NumericError(
-                    f"non-finite log density for datum {b} (mc draw {m})", index=b
-                )
-    scale = -float(n_total) / (batch * mc)
-    flat_ld = [int(i) for i in ld_ids.ravel()]
-    nll_id = tape.lincomb(flat_ld, [scale] * len(flat_ld))
+    nll = -float(n_total) / (batch * mc) * ld.sum()
+    adj = tape.backward(nll.id)
 
-    kl_val = net.kl_to_prior()
-    kl_grad = net.kl_gradients()
-    kl_id = tape.record("kl", list(tp.flat_ids), kl_val, list(kl_grad))
-    f_id = tape.add(nll_id, kl_id)
-
-    adj = tape.backward(f_id)
-    grad = np.empty(tp.flat_ids.size + len(extra_ids))
-    for k, i in enumerate(tp.flat_ids):
-        grad[k] = adj[i]
-    for k, i in enumerate(extra_ids):
-        grad[tp.flat_ids.size + k] = adj[i]
-
-    report = FreeEnergyReport(
-        expected_nll=tape.value(nll_id),
-        kl=kl_val,
-        free_energy=tape.value(f_id),
-        iteration=iteration,
-    )
-    return report, grad
+    kl = net.kl_to_prior()
+    grad = np.concatenate([adj[v.id].ravel() for v in tp.leaves] + [adj[extras.id]])
+    grad[: grad.size - extras.size] += net.kl_gradients()
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericError(f"non-finite gradient {grad[k]} at coordinate {k}")
+    nll = float(nll)
+    return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
 def free_energy_value(model, x, y, n_total, mc, rng):

@@ -132,6 +132,28 @@ def test_nonfinite_training_data_exits_4(tmp_path):
     assert code == 4
 
 
+def test_nan_gradient_exits_4_naming_the_iteration(toy, tmp_path, monkeypatch, capsys):
+    from flowcde.tape import Tape
+
+    real = Tape.backward
+
+    def poisoned(self, output):
+        adj = real(self, output)
+        adj[0] = np.full_like(adj[0], np.nan)
+        return adj
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    out = tmp_path / "nan"
+    assert run(
+        "train", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+        "iterations=3", "mc_train=2", f"out={out}",
+    ) == 4
+    printed = capsys.readouterr()
+    assert "iteration 0: non-finite gradient nan at coordinate 0" in printed.err
+    assert "nan" not in printed.out
+    assert not (out / "checkpoint.ckpt").exists()
+
+
 def test_data_hash_mismatch_exits_3(toy, tmp_path):
     code = run(
         "train",

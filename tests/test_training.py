@@ -443,3 +443,111 @@ def test_free_energy_identity_and_finiteness(name, mode, mc, n, seed):
     assert r.free_energy == r.expected_nll + r.kl
     assert r.kl >= 0.0
     assert np.isfinite(g).all()
+
+
+# -- array tape: robustness and the names the benchmark tracer wraps -----------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.sampled_from([NFHead(0), NFHead(2), MDNHead(2), LVHead(n_noise=2), GaussHead()]),
+    mode=st.sampled_from(["fixed", "learned"]),
+    y=st.lists(
+        st.one_of(
+            st.floats(-3.0, 3.0),
+            st.sampled_from([1e8, -1e8, 1e150, -1e150, 1e300, -np.finfo(float).max]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    beta_hat=st.sampled_from([None, -40.0]),
+    seed=st.integers(0, 999),
+)
+def test_free_energy_gradient_is_finite_or_numeric_error(head, mode, y, beta_hat, seed):
+    # one-row batches, K=0 flows, beta_hat = -40 stages and far-out targets:
+    # a finite gradient or a NumericError, never NaN
+    model = build_model(head, x_dim=1, hidden=(3,), mode=mode, sigma_q=0.3, seed=seed)
+    if beta_hat is not None and "beta_hat" in head.group_map():
+        post = model.net.posterior
+        post.b_means[-1][list(head.group_map()["beta_hat"])] = beta_hat
+    rng = np.random.default_rng(seed)
+    y = np.array(y)
+    x = rng.standard_normal((y.size, 1))
+    with np.errstate(all="ignore"):
+        try:
+            r, g = free_energy(model, x, y, y.size + 2, 2, np.random.default_rng(seed + 1))
+        except NumericError:
+            return
+    assert np.isfinite(g).all()
+    assert math.isfinite(r.free_energy)
+
+
+def test_non_finite_gradient_names_its_coordinate(monkeypatch):
+    from flowcde.tape import Tape
+
+    real = Tape.backward
+
+    def poisoned(self, output):
+        adj = real(self, output)
+        adj[0] = np.full_like(adj[0], np.inf)
+        return adj
+
+    monkeypatch.setattr(Tape, "backward", poisoned)
+    model = build_model(GaussHead())
+    x, y = small_batch()
+    with pytest.raises(NumericError, match="non-finite gradient inf at coordinate 0"):
+        free_energy(model, x, y, 3, 1, np.random.default_rng(0))
+
+
+WRAPPED_HEAD_METHODS = ("log_density_rows_np", "log_density_rows_tape", "curve_log_density",
+                        "sample_np", "prepare_inputs")
+
+
+def test_benchmark_wrapped_names_exist_on_their_own_classes():
+    # the benchmark's tracer looks these up by name (methods in their class's
+    # own __dict__) and reads per-layer costs off their spans
+    from flowcde import bnn, flows, heads, tape
+
+    assert "backward" in vars(tape.Tape)
+    assert "__init__" in vars(bnn.TapeParams)
+    assert {"forward_np", "forward_tape", "kl_to_prior", "kl_gradients"} <= set(
+        vars(bnn.BayesianMLP))
+    for cls in (heads.NFHead, heads.MDNHead, heads.LVHead, heads.GaussHead):
+        for name in WRAPPED_HEAD_METHODS:
+            assert name in vars(cls), (cls.__name__, name)
+    for name in ("log_density_params", "log_density_batch", "sample"):
+        assert callable(getattr(flows, name))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_free_energy_step_runs_through_the_wrapped_names(name, monkeypatch):
+    from flowcde import bnn, heads, tape
+
+    head = make_head(name, n_stages=2, n_components=2, n_noise=2)
+    calls = {}
+
+    def count(owner, attr, key):
+        original = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(tape.Tape, "backward", "backward")
+    count(bnn.TapeParams, "__init__", "tape_params")
+    count(bnn.BayesianMLP, "forward_tape", "forward_tape")
+    count(bnn.BayesianMLP, "kl_to_prior", "kl_to_prior")
+    count(bnn.BayesianMLP, "kl_gradients", "kl_gradients")
+    count(type(head), "log_density_rows_tape", "log_density_rows_tape")
+    if name == "nf":
+        count(heads, "log_density_params", "log_density_params")
+    model = build_model(head)
+    x, y = small_batch()
+    free_energy(model, x, y, 3, 2, np.random.default_rng(0))
+    want = {"backward": 1, "tape_params": 1, "forward_tape": 1, "kl_to_prior": 1,
+            "kl_gradients": 1, "log_density_rows_tape": 1}
+    if name == "nf":
+        want["log_density_params"] = 1
+    assert calls == want
