@@ -304,50 +304,35 @@ class BayesianMLP:
                 stds.append(np.full(int(np.prod(ws)) + bs[0], sw))
         return np.concatenate(mus), np.concatenate(stds)
 
-    def kl_to_prior(self):
-        """Analytic KL(q || p) summed over every weight and bias."""
+    def _kl_terms(self):
+        """(means, var_q, mu_p, var_p) over the canonical means layout."""
         mu_p, sd_p = self.prior_mean_std_vectors()
         if (sd_p <= 0).any():
             raise NumericError("KL undefined: prior has a zero/negative std")
         post = self.posterior
-        means = np.concatenate(
-            [np.concatenate([post.w_means[l].ravel(), post.b_means[l]]) for l in range(self.arch.n_layers)]
-        )
+        vec = post.to_vector()
+        means = vec[: mu_p.size]
         if post.mode == "fixed":
             if post.sigma_q <= 0:
                 raise NumericError("KL undefined: posterior sigma_q is zero")
             var_q = np.full(means.shape, post.sigma_q**2)
         else:
-            var_q = np.concatenate(
-                [
-                    np.concatenate([np.exp(post.w_logvars[l]).ravel(), np.exp(post.b_logvars[l])])
-                    for l in range(self.arch.n_layers)
-                ]
-            )
-        var_p = sd_p**2
+            var_q = np.exp(vec[mu_p.size :])
+        return means, var_q, mu_p, sd_p**2
+
+    def kl_to_prior(self):
+        """Analytic KL(q || p) summed over every weight and bias."""
+        means, var_q, mu_p, var_p = self._kl_terms()
         kl = 0.5 * (np.log(var_p) - np.log(var_q) + (var_q + (means - mu_p) ** 2) / var_p - 1.0)
         return float(kl.sum())
 
     def kl_gradients(self):
         """d KL / d(trainable vector), analytic, in canonical layout."""
-        mu_p, sd_p = self.prior_mean_std_vectors()
-        if (sd_p <= 0).any():
-            raise NumericError("KL undefined: prior has a zero/negative std")
-        post = self.posterior
-        means = np.concatenate(
-            [np.concatenate([post.w_means[l].ravel(), post.b_means[l]]) for l in range(self.arch.n_layers)]
-        )
-        d_mean = (means - mu_p) / sd_p**2
-        if post.mode == "fixed":
+        means, var_q, mu_p, var_p = self._kl_terms()
+        d_mean = (means - mu_p) / var_p
+        if self.posterior.mode == "fixed":
             return d_mean
-        var_q = np.concatenate(
-            [
-                np.concatenate([np.exp(post.w_logvars[l]).ravel(), np.exp(post.b_logvars[l])])
-                for l in range(self.arch.n_layers)
-            ]
-        )
-        d_logvar = 0.5 * (var_q / sd_p**2 - 1.0)
-        return np.concatenate([d_mean, d_logvar])
+        return np.concatenate([d_mean, 0.5 * (var_q / var_p - 1.0)])
 
     # -- forward passes ----------------------------------------------------
 

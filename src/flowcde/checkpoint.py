@@ -209,6 +209,16 @@ def _read_model(r, prefix):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; malformed content raises DataError naming the path."""
+    try:
+        return _read_checkpoint(path)
+    except DataError:
+        raise
+    except ValueError as err:  # includes StructuralError and ConfigError
+        raise DataError(f"{path}: corrupt checkpoint: {err}") from err
+
+
+def _read_checkpoint(path):
     kv = _read_kv(path)
     r = _Reader(path, kv)
     fmt = r.take("format")

@@ -8,9 +8,10 @@ unknown keys are reported exhaustively in one error.  Each artifact-writing
 command emits a manifest (the fully resolved settings plus the data file's
 sha256) that re-runs to bit-identical outputs on the same platform.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error,
-1 anything else.  The output root defaults to the working directory and can
-be moved with the FLOWCDE_OUT environment variable.
+Exit codes: 0 success, 2 configuration error or invalid setting value, 3 data
+error (a bad checkpoint too), 4 numeric error, 1 anything else.  The output
+root defaults to the working directory and can be moved with the FLOWCDE_OUT
+environment variable.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .data import (
     split,
     toy_generator,
 )
-from .errors import ConfigError, DataError, FlowCdeError, NumericError
+from .errors import ConfigError, DataError, FlowCdeError, NumericError, StructuralError
 from .heads import make_head
 from .training import (
     CdeModel,
@@ -547,6 +548,15 @@ def _refuse_nan(dens):
         )
 
 
+def _write_grid(path, names, g1, g2, dens):
+    """CSV of one density per (g1[a], g2[b]) cell, a-major, at %.17g."""
+    with open(path, "w") as fh:
+        fh.write(f"{names[0]},{names[1]},density\n")
+        for a in range(g1.size):
+            for b in range(g2.size):
+                fh.write(f"{g1[a]:.17g},{g2[b]:.17g},{dens[a, b]:.17g}\n")
+
+
 def _quantile_row(grid, log_pdf, row):
     """(median, q025, q975) of one density row by trapezoid quadrature."""
     pdf = np.exp(log_pdf)
@@ -588,13 +598,7 @@ def _heatmap_1d(values, ckpt, out):
     if values["raw_units"]:
         dens = dens / y_sd
     emitted = np.minimum(dens, values["cap"]) if values["cap"] > 0 else dens
-    with open(out / "heatmap.csv", "w") as fh:
-        fh.write("x,y,density\n")
-        for a in range(x_grid.size):
-            for b in range(y_grid.size):
-                fh.write(
-                    f"{x_grid[a]:.17g},{y_grid[b]:.17g},{emitted[a, b]:.17g}\n"
-                )
+    _write_grid(out / "heatmap.csv", ("x", "y"), x_grid, y_grid, emitted)
     if want_q:
         with open(out / "quantiles.csv", "w") as fh:
             fh.write("x,median,q025,q975\n")
@@ -633,12 +637,7 @@ def _heatmap_2d(values, ckpt, out):
         dens = dens / jac
     if values["cap"] > 0:
         dens = np.minimum(dens, values["cap"])
-    names = model.chain_names
-    with open(out / "heatmap.csv", "w") as fh:
-        fh.write(f"{names[0]},{names[1]},density\n")
-        for a in range(g_a.size):
-            for b in range(g_b.size):
-                fh.write(f"{g_a[a]:.17g},{g_b[b]:.17g},{dens[a, b]:.17g}\n")
+    _write_grid(out / "heatmap.csv", model.chain_names, g_a, g_b, dens)
 
 
 def cmd_heatmap(values, raw, meta):
@@ -678,13 +677,7 @@ def cmd_prior_sample(values, raw, meta):
                 prior = head.default_prior(values["sigma_w"], lam, sb)
                 dens = sample_prior_cde(arch, prior, head, seed, x_grid, y_grid)
                 name = f"prior_seed{seed}_lambda{lam:g}_beta{sb:g}.csv"
-                with open(out / name, "w") as fh:
-                    fh.write("x,y,density\n")
-                    for a in range(x_grid.size):
-                        for b in range(y_grid.size):
-                            fh.write(
-                                f"{x_grid[a]:.17g},{y_grid[b]:.17g},{dens[a, b]:.17g}\n"
-                            )
+                _write_grid(out / name, ("x", "y"), x_grid, y_grid, dens)
                 written.append(name)
     _write_manifest(out / "manifest.cfg", "prior-sample", raw)
     print(f"wrote {len(written)} prior grids to {out}")
@@ -806,7 +799,7 @@ def main(argv=None):
     try:
         values, raw, meta = resolve_settings(args.command, args.config, args.overrides)
         return _DISPATCH[args.command](values, raw, meta)
-    except ConfigError as err:
+    except (ConfigError, StructuralError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DataError as err:

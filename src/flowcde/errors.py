@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes (config=2, data=3, numeric=4).
+The CLI reports a StructuralError as a configuration error (an invalid
+setting value); checkpoint reading re-raises it as a DataError.
 """
 
 

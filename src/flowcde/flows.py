@@ -65,9 +65,7 @@ def stage_log_grad(z, alpha_hat, beta_hat, gamma):
     The ratio form makes the value at z == gamma exactly beta_hat up to one
     rounding of log1p(expm1(.)).
     """
-    alpha, beta = constrain(alpha_hat, beta_hat)
-    r = alpha / (alpha + abs(z - gamma))
-    return log1p(beta * r * r)
+    return stage_apply(z, alpha_hat, beta_hat, gamma)[1]
 
 
 def stage_apply(z, alpha_hat, beta_hat, gamma):
@@ -80,50 +78,38 @@ def stage_apply(z, alpha_hat, beta_hat, gamma):
 
 
 def log_density_params(params, y):
-    """Log density at y for one packed parameter vector.
+    """Log density at y for one packed parameter vector: the flow density.
 
     ``params`` is a flat sequence ``[ah_1, bh_1, g_1, ..., ah_K, bh_K, g_K, s]``
     of floats, or of same-shape arrays or tape Vars holding one stack per
-    element (the training path passes column views of the network output).
+    element (``log_density_batch`` and the flow head pass column views).
     The observation is shifted by -s, pushed through stages K..1 (stage K
-    touches it first), and scored under the unit normal base; stage
-    log-derivatives accumulate along the way.
+    touches it first), and scored under the unit normal base.  Stage
+    log-derivatives accumulate from zero, in place on arrays (every stage
+    yields the same shape) and as new nodes on a tape, so arrays and Vars
+    give the same value bit for bit.
     """
     n = len(params)
     if n < 1 or (n - 1) % 3 != 0:
         raise StructuralError(f"packed flow vector has bad length {n}")
     k = (n - 1) // 3
     z = y - params[-1]
-    total = -0.5 * LOG_2PI
+    total = 0.0
     for i in range(k - 1, -1, -1):
         z, lg = stage_apply(z, params[3 * i], params[3 * i + 1], params[3 * i + 2])
-        total = total + lg
-    return total - 0.5 * z * z
+        total += lg
+    return total - 0.5 * (LOG_2PI + z * z)
 
 
 def log_density_batch(theta, y):
     """Vectorised log density: theta (..., 3K+1) against y broadcastable.
 
-    Rows of theta are independent packed stacks; the K-stage loop is the only
-    Python-level iteration.
+    Rows of theta are independent packed stacks; this adapts the packed
+    layout to ``log_density_params`` through the column views theta[..., j].
     """
     theta = np.asarray(theta, dtype=float)
-    n = theta.shape[-1]
-    if n < 1 or (n - 1) % 3 != 0:
-        raise StructuralError(f"packed flow vectors have bad width {n}")
-    k = (n - 1) // 3
-    z = np.asarray(y, dtype=float) - theta[..., -1]
-    total = np.zeros(np.broadcast_shapes(z.shape, theta.shape[:-1]))
-    z = np.broadcast_to(z, total.shape).copy()
-    for i in range(k - 1, -1, -1):
-        alpha = np.logaddexp(0.0, theta[..., 3 * i])
-        beta = np.expm1(theta[..., 3 * i + 1])
-        d = z - theta[..., 3 * i + 2]
-        denom = alpha + np.abs(d)
-        r = alpha / denom
-        total += np.log1p(beta * r * r)
-        z += beta * r * d
-    return total - 0.5 * (LOG_2PI + z * z)
+    columns = [theta[..., j] for j in range(theta.shape[-1])]
+    return log_density_params(columns, np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ one branches on a head's name or type:
   give (mc, B) log densities; a grid y (B, G) gives (mc, B, G);
 - ``log_density_rows_tape(tape, omega, y, extras)``: the same density
   recorded on a tape from Vars (omega (mc, rows, outputs), extras
-  (n_extras,)) against targets y (B,); returns a (mc, B) Var.  The MDN,
-  latent-variable and Gaussian heads run one expression on arrays or Vars;
-  the flow head records ``flows.log_density_params`` on column views of
-  omega, while its NumPy path keeps the in-place ``log_density_batch``;
+  (n_extras,)) against targets y (B,); returns a (mc, B) Var.  Each head
+  runs one ``_log_density`` expression on arrays or Vars, so both paths
+  give the same value bit for bit (the flow head's is
+  ``flows.log_density_params`` on column views of omega);
 - ``curve_log_density(omega_rows, extras, y_grid)``: one datum's (G,) curve,
   a one-line call into ``log_density_rows_np``.  Each class keeps it in its
   own ``__dict__`` because ``perfbench`` looks it up there by name;
@@ -56,7 +56,7 @@ import numpy as np
 
 from .bnn import GroupPrior, PriorConfig, nf_group_map, nf_prior
 from .errors import ConfigError, StructuralError
-from .flows import LOG_2PI, log_density_batch, log_density_params, sample
+from .flows import LOG_2PI, log_density_params, sample
 from .tape import log, logsumexp, softplus, square
 
 __all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head", "logsumexp"]
@@ -98,10 +98,15 @@ class NFHead:
         return np.asarray(x, dtype=float), 1
 
     def log_density_rows_np(self, omega, y, extras):
-        return log_density_batch(_per_target(np.asarray(omega, dtype=float), y), y)
+        return self._log_density(np.asarray(omega, dtype=float), y)
 
     def log_density_rows_tape(self, tape, omega, y, extras):
-        return log_density_params([omega[..., j] for j in range(self.output_dim)], y)
+        return self._log_density(omega, y)
+
+    def _log_density(self, omega, y):
+        theta = _per_target(omega, y)
+        columns = [theta[..., j] for j in range(self.output_dim)]
+        return log_density_params(columns, np.asarray(y, dtype=float))
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]

@@ -155,20 +155,29 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
+def _log_density_draws(model, x, y, mc, rng):
+    """(mc, B) log densities of targets y (B,), or (mc, B, G) of a grid
+    y (B, G), under mc network draws at feature rows x (B, d).
+
+    The rng draws the head's input augmentation, then one activation noise
+    array per layer, in the order free_energy draws them.
+    """
+    net, head = model.net, model.head
+    rows, _ = head.prepare_inputs(x, rng)
+    omega = net.forward_np(rows, draw_eps(net.arch, rng, mc, rows.shape[0]))
+    return head.log_density_rows_np(omega, y, model.extras)
+
+
 def free_energy_value(model, x, y, n_total, mc, rng):
     """Vectorised twin of free_energy (value only, same rng consumption)."""
     x, y = _check_batch(x, y, n_total)
-    net, head = model.net, model.head
-    x_rows, _ = head.prepare_inputs(x, rng)
-    eps = draw_eps(net.arch, rng, mc, x_rows.shape[0])
-    omega = net.forward_np(x_rows, eps)
-    ld = head.log_density_rows_np(omega, y, model.extras)
+    ld = _log_density_draws(model, x, y, mc, rng)
     if not np.isfinite(ld).all():
         bad = int(np.argwhere(~np.isfinite(ld))[0][1])
         raise NumericError(f"non-finite log density for datum {bad}", index=bad)
     batch = y.shape[0]
     nll = -float(n_total) / (batch * mc) * float(ld.sum())
-    return nll + net.kl_to_prior()
+    return nll + model.net.kl_to_prior()
 
 
 @dataclass
@@ -235,25 +244,15 @@ def predictive_log_density(model, x, y, mc, rng):
     """Per-datum log posterior-predictive density, stably log-mean-exp'd
     over mc local-reparameterization draws."""
     x, y = _check_batch(x, y, np.asarray(y).size)
-    net, head = model.net, model.head
-    x_rows, _ = head.prepare_inputs(x, rng)
-    eps = draw_eps(net.arch, rng, mc, x_rows.shape[0])
-    omega = net.forward_np(x_rows, eps)
-    ld = head.log_density_rows_np(omega, y, model.extras)  # (mc, B)
-    return logsumexp(ld, axis=0, mean=True)
+    return logsumexp(_log_density_draws(model, x, y, mc, rng), axis=0, mean=True)
 
 
 def predictive_curve(model, x, y_grid, mc, rng):
     """(B, G) log posterior-predictive densities over a shared target grid."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
-    net, head = model.net, model.head
-    rows, _ = head.prepare_inputs(x, rng)
-    eps = draw_eps(net.arch, rng, mc, rows.shape[0])
-    omega = net.forward_np(rows, eps)
     y = np.broadcast_to(y_grid, (x.shape[0], y_grid.size))
-    ld = head.log_density_rows_np(omega, y, model.extras)  # (mc, B, G)
-    return logsumexp(ld, axis=0, mean=True)
+    return logsumexp(_log_density_draws(model, x, y, mc, rng), axis=0, mean=True)
 
 
 def model_sample(model, x, n, mc, rng):

@@ -297,16 +297,15 @@ def test_kl_gradients_match_finite_differences():
 
 def test_kl_rejects_zero_stds():
     net = randomized(small_net(sigma_q=0.0))
-    with pytest.raises(NumericError):
-        net.kl_to_prior()
     net2 = small_net(groups={
         "alpha_hat": GroupPrior(1.0, 1.0),
         "beta_hat": GroupPrior(0.0, 0.0),
         "gamma": GroupPrior(0.0, 1.0),
         "shift": GroupPrior(0.0, 1.0),
     })
-    with pytest.raises(NumericError):
-        net2.kl_to_prior()
+    for kl in (net.kl_to_prior, net.kl_gradients, net2.kl_to_prior, net2.kl_gradients):
+        with pytest.raises(NumericError):
+            kl()
 
 
 def test_prior_vectors_layout():

@@ -165,6 +165,58 @@ def test_data_hash_mismatch_exits_3(toy, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "key,corrupt",
+    [
+        ("posterior.w_mean.0", lambda v: v.rsplit(" ", 1)[0]),  # truncated
+        ("posterior.b_mean.0", lambda v: "abc " + v.split(" ", 1)[1]),  # non-numeric
+        ("arch.input_dim", lambda v: "x"),
+        ("head.n_stages", lambda v: str(int(v) + 1)),  # output groups mismatch the net
+        ("head.name", lambda v: "bogus"),
+    ],
+    ids=["truncated", "non-numeric", "input-dim", "n-stages", "unknown-head"],
+)
+def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, key, corrupt):
+    lines = (trained / "checkpoint.ckpt").read_text().splitlines()
+    hits = [i for i, line in enumerate(lines) if line.startswith(key + " = ")]
+    assert len(hits) == 1
+    value = lines[hits[0]].partition(" = ")[2]
+    lines[hits[0]] = f"{key} = {corrupt(value)}"
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run("eval", f"checkpoint={bad}", f"data={trained / 'test.csv'}",
+               f"out={tmp_path / 'ev'}")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"data error: {bad}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,setting",
+    [
+        ("sample", "n=0"),
+        ("eval", "mc=0"),
+        ("heatmap", "x_points=0"),
+        ("train", "hidden=0"),
+        ("train", "sigma_q=0"),
+        ("train", "batch_size=401"),  # the toy data has 400 rows
+    ],
+)
+def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, setting):
+    ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    args = {
+        "sample": [ckpt, "condition=0.5"],
+        "eval": [ckpt, f"data={trained / 'test.csv'}"],
+        "heatmap": [ckpt],
+        "train": [f"data={toy / 'data.csv'}", "features=x", "targets=y", "iterations=1"],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *args, setting, f"out={tmp_path / 'x'}") == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 # -- gen-toy -----------------------------------------------------------------------
 
 

@@ -104,11 +104,12 @@ def test_tape_and_numpy_objectives_agree_under_crn(name, mode):
     head = make_head(name, n_stages=2, n_components=2, n_noise=3)
     model = build_model(head, mode=mode)
     x, y = small_batch()
-    r, g = free_energy(model, x, y, 9, 3, np.random.default_rng(11))
-    v = free_energy_value(model, x, y, 9, 3, np.random.default_rng(11))
-    assert v == pytest.approx(r.free_energy, rel=1e-10)
-    assert g.shape == model.trainable_vector().shape
-    assert np.isfinite(g).all()
+    for seed in range(11, 16):
+        r, g = free_energy(model, x, y, 9, 3, np.random.default_rng(seed))
+        v = free_energy_value(model, x, y, 9, 3, np.random.default_rng(seed))
+        assert v == r.free_energy  # one density expression on both paths
+        assert g.shape == model.trainable_vector().shape
+        assert np.isfinite(g).all()
 
 
 def test_minibatch_estimator_is_unbiased_over_all_batches():
