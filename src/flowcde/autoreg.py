@@ -54,16 +54,13 @@ class AutoregModel:
                 f"(features plus the first target), takes {self.stage2_features}"
             )
 
-    def _base_inputs(self, model):
-        return model.net.arch.input_dim - model.head.extra_input_dim
-
     @property
     def n_features(self):
-        return self._base_inputs(self.stage1)
+        return self.stage1.n_features
 
     @property
     def stage2_features(self):
-        return self._base_inputs(self.stage2)
+        return self.stage2.n_features
 
     @property
     def chain_names(self):

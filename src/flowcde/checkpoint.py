@@ -249,4 +249,11 @@ def _read_checkpoint(path):
     else:
         raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
     r.finish()
+    # with stats, apply_stats checks the columns; without, check the schema here
+    expanded = len(features) + sum(f in cyclic for f in features)
+    if stats is None and features and expanded != model.n_features:
+        raise DataError(
+            f"{path}: schema.features {','.join(features)} expand to {expanded} "
+            f"inputs, the model takes {model.n_features}"
+        )
     return Checkpoint(model, stats, features, cyclic, targets)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, StructuralError
 
 __all__ = [
     "Dataset",
@@ -328,6 +328,8 @@ def toy_true_log_density(name, x, y):
 
 def toy_generator(name, n, seed):
     """(Dataset, true per-point log density). Deterministic under seed."""
+    if n < 1:
+        raise StructuralError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     if name == "heteroscedastic-bimodal":
         x = rng.uniform(-2.0, 2.0, n)

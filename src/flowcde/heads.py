@@ -10,6 +10,7 @@ one branches on a head's name or type:
   itself (the latent-variable and Gaussian heads carry a global observation
   noise parameter);
 - ``extra_input_dim``: network inputs the head adds to each feature row;
+- ``rows_per_datum``: network rows ``prepare_inputs`` makes per datum;
 - ``settings()``: the ``make_head`` keyword arguments that rebuild the head;
 - ``prepare_inputs(x, rng)``: feature rows to push through the network
   (the latent-variable head appends fresh noise columns and replicates each
@@ -75,6 +76,7 @@ class NFHead:
     name = "nf"
     n_extras = 0
     extra_input_dim = 0
+    rows_per_datum = 1
 
     def __init__(self, n_stages):
         if n_stages < 0:
@@ -121,6 +123,7 @@ class MDNHead:
     name = "mdn"
     n_extras = 0
     extra_input_dim = 0
+    rows_per_datum = 1
 
     def __init__(self, n_components):
         if n_components < 1:
@@ -191,6 +194,7 @@ class _MeanHead:
 
     output_dim = 1
     n_extras = 1
+    rows_per_datum = 1
 
     def group_map(self):
         return {"mean": (0,)}
@@ -213,6 +217,7 @@ class LVHead(_MeanHead):
         self.n_noise = int(n_noise)
         self.noise_dim = int(noise_dim)
         self.extra_input_dim = self.noise_dim
+        self.rows_per_datum = self.n_noise
 
     def settings(self):
         return {"n_noise": self.n_noise, "noise_dim": self.noise_dim}

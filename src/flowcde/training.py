@@ -16,6 +16,12 @@ any head input augmentation (latent-variable noise) and then one activation
 noise array per layer.  The numpy twin free_energy_value consumes an rng
 identically, so recreating a generator from the same seed gives common
 random numbers for finite-difference checks.
+
+Prediction (predictive_log_density, predictive_curve) scores rows in blocks
+of at most BLOCK_DRAW_CELLS draws x target cells x head rows per datum.  Each
+block draws its own head noise, then activation noise, blocks in file order
+from the one rng: memory is bounded whatever the row count, and the constant
+is part of the noise convention.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from .errors import NumericError, StructuralError
 from .heads import logsumexp
 from .tape import Tape, Var
 
+BLOCK_DRAW_CELLS = 1 << 14  # draw x cell budget of one prediction block
+
 __all__ = [
+    "BLOCK_DRAW_CELLS",
     "TrainConfig",
     "FreeEnergyReport",
     "CdeModel",
@@ -97,6 +106,11 @@ class CdeModel:
                 f"head needs {self.head.output_dim} outputs, "
                 f"net has {self.net.arch.output_dim}"
             )
+
+    @property
+    def n_features(self):
+        """Network inputs fed from feature columns (the rest are head noise)."""
+        return self.net.arch.input_dim - self.head.extra_input_dim
 
     def trainable_vector(self):
         return np.concatenate([self.net.posterior.to_vector(), self.extras])
@@ -240,11 +254,34 @@ def train(model, x, y, cfg):
     return trace
 
 
+def _predictive_blocks(model, x, y, mc, rng):
+    """Log posterior-predictive densities, log-mean-exp'd over mc draws, of
+    targets y (B,) -> (B,) or of a grid y (B, G) -> (B, G), scored in row
+    blocks of at most BLOCK_DRAW_CELLS draw x cells.
+
+    Each block is one _log_density_draws call, in file order on the one rng,
+    so a call that fits in one block is exactly that call.
+    """
+    if mc < 1:
+        raise StructuralError(f"mc must be >= 1, got {mc}")
+    if x.shape[0] == 0:
+        raise StructuralError("need at least one row to score")
+    cells = 1 if y.ndim == 1 else y.shape[1]
+    if cells == 0:
+        raise StructuralError("target grid must be non-empty")
+    step = max(1, BLOCK_DRAW_CELLS // (mc * cells * model.head.rows_per_datum))
+    return np.concatenate([
+        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng),
+                  axis=0, mean=True)
+        for i in range(0, x.shape[0], step)
+    ])
+
+
 def predictive_log_density(model, x, y, mc, rng):
     """Per-datum log posterior-predictive density, stably log-mean-exp'd
     over mc local-reparameterization draws."""
     x, y = _check_batch(x, y, np.asarray(y).size)
-    return logsumexp(_log_density_draws(model, x, y, mc, rng), axis=0, mean=True)
+    return _predictive_blocks(model, x, y, mc, rng)
 
 
 def predictive_curve(model, x, y_grid, mc, rng):
@@ -252,7 +289,7 @@ def predictive_curve(model, x, y_grid, mc, rng):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
     y = np.broadcast_to(y_grid, (x.shape[0], y_grid.size))
-    return logsumexp(_log_density_draws(model, x, y, mc, rng), axis=0, mean=True)
+    return _predictive_blocks(model, x, y, mc, rng)
 
 
 def model_sample(model, x, n, mc, rng):

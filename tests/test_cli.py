@@ -165,23 +165,37 @@ def test_data_hash_mismatch_exits_3(toy, tmp_path):
     assert code == 3
 
 
+_DROP_STATS = {
+    f"stats.{k}": lambda v: None  # None deletes the line
+    for k in ("feature_names", "kinds", "x_mean", "x_std", "y_mean", "y_std")
+}
+
+
 @pytest.mark.parametrize(
-    "key,corrupt",
+    "edits",
     [
-        ("posterior.w_mean.0", lambda v: v.rsplit(" ", 1)[0]),  # truncated
-        ("posterior.b_mean.0", lambda v: "abc " + v.split(" ", 1)[1]),  # non-numeric
-        ("arch.input_dim", lambda v: "x"),
-        ("head.n_stages", lambda v: str(int(v) + 1)),  # output groups mismatch the net
-        ("head.name", lambda v: "bogus"),
+        {"posterior.w_mean.0": lambda v: v.rsplit(" ", 1)[0]},  # truncated
+        {"posterior.b_mean.0": lambda v: "abc " + v.split(" ", 1)[1]},  # non-numeric
+        {"arch.input_dim": lambda v: "x"},
+        {"head.n_stages": lambda v: str(int(v) + 1)},  # output groups mismatch the net
+        {"head.name": lambda v: "bogus"},
+        # no stats, and a schema of two features for a one-input network
+        {**_DROP_STATS, "stats.present": lambda v: "false",
+         "schema.features": lambda v: "x,y2"},
     ],
-    ids=["truncated", "non-numeric", "input-dim", "n-stages", "unknown-head"],
+    ids=["truncated", "non-numeric", "input-dim", "n-stages", "unknown-head",
+         "features-without-stats"],
 )
-def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, key, corrupt):
+def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
     lines = (trained / "checkpoint.ckpt").read_text().splitlines()
-    hits = [i for i, line in enumerate(lines) if line.startswith(key + " = ")]
-    assert len(hits) == 1
-    value = lines[hits[0]].partition(" = ")[2]
-    lines[hits[0]] = f"{key} = {corrupt(value)}"
+    for key, corrupt in edits.items():
+        hits = [i for i, line in enumerate(lines) if line.startswith(key + " = ")]
+        assert len(hits) == 1
+        value = corrupt(lines[hits[0]].partition(" = ")[2])
+        if value is None:
+            del lines[hits[0]]
+        else:
+            lines[hits[0]] = f"{key} = {value}"
     bad = tmp_path / "bad.ckpt"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -199,9 +213,11 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, key, corrupt):
         ("sample", "n=0"),
         ("eval", "mc=0"),
         ("heatmap", "x_points=0"),
+        ("heatmap", "y_points=0"),
         ("train", "hidden=0"),
         ("train", "sigma_q=0"),
         ("train", "batch_size=401"),  # the toy data has 400 rows
+        ("gen-toy", "n=0"),
     ],
 )
 def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, setting):
@@ -211,10 +227,12 @@ def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, 
         "eval": [ckpt, f"data={trained / 'test.csv'}"],
         "heatmap": [ckpt],
         "train": [f"data={toy / 'data.csv'}", "features=x", "targets=y", "iterations=1"],
+        "gen-toy": [],
     }[command]
     capsys.readouterr()
     assert run(command, *args, setting, f"out={tmp_path / 'x'}") == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "x" / "data.csv").exists()
 
 
 # -- gen-toy -----------------------------------------------------------------------

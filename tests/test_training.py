@@ -2,6 +2,8 @@
 random numbers), Adam, and the training loop."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +15,7 @@ from flowcde.bnn import BayesianMLP, MLPArchitecture, draw_eps, init_posterior, 
 from flowcde.errors import NumericError, StructuralError
 from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.training import (
+    BLOCK_DRAW_CELLS,
     AdamState,
     CdeModel,
     FreeEnergyReport,
@@ -25,6 +28,7 @@ from flowcde.training import (
     predictive_log_density,
     train,
 )
+from flowcde.training import _log_density_draws
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -421,6 +425,103 @@ def test_predictive_curve_equals_one_target_vector_per_grid_value(name):
     assert per == (3 if name == "lv" else 1)
     assert curve.shape == (4, grid.size)
     np.testing.assert_array_equal(curve, want)
+
+
+# -- blocked prediction: the noise convention ------------------------------------
+
+
+def _predict(model, x, y, grid, mc, rng):
+    """predictive_curve on grid, or predictive_log_density when grid is None."""
+    if grid is None:
+        return predictive_log_density(model, x, y, mc, rng)
+    return predictive_curve(model, x, grid, mc, rng)
+
+
+def _block_rows(head, mc, grid):
+    width = 1 if grid is None else grid.size
+    return max(1, BLOCK_DRAW_CELLS // (mc * width * head.rows_per_datum))
+
+
+@pytest.mark.parametrize("name", ["nf", "lv"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+def test_three_block_call_equals_three_one_block_calls(name, curve):
+    head = make_head(name, n_stages=2, n_noise=4)
+    model = build_model(head, mode="learned", seed=6)
+    mc = 64
+    grid = np.linspace(-2.0, 2.0, 32) if curve else None
+    step = _block_rows(head, mc, grid)
+    n = 2 * step + step // 2 + 1  # two full blocks and a partial one
+    x, y = small_batch(n=n, seed=12)
+    whole = _predict(model, x, y, grid, mc, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    parts = [_predict(model, x[i : i + step], y[i : i + step], grid, mc, rng)
+             for i in range(0, n, step)]
+    assert len(parts) == 3
+    assert np.array_equal(whole, np.concatenate(parts))
+    # the blocks draw their own noise: one whole-file draw gives other digits
+    targets = y if grid is None else np.broadcast_to(grid, (n, grid.size))
+    unblocked = logsumexp(_log_density_draws(model, x, targets, mc, np.random.default_rng(4)),
+                          axis=0, mean=True)
+    assert not np.array_equal(whole, unblocked)
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+def test_one_block_call_is_one_log_mean_exp_of_the_draws(name, curve):
+    head = make_head(name, n_stages=2, n_components=2, n_noise=3)
+    model = build_model(head, mode="learned", seed=7)
+    mc = 20
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    n = _block_rows(head, mc, grid)  # exactly one full block
+    x, y = small_batch(n=n, seed=13)
+    got = _predict(model, x, y, grid, mc, np.random.default_rng(5))
+    targets = y if grid is None else np.broadcast_to(grid, (n, grid.size))
+    draws = _log_density_draws(model, x, targets, mc, np.random.default_rng(5))
+    assert np.array_equal(got, logsumexp(draws, axis=0, mean=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["nf", "mdn", "gauss"]),
+    n=st.integers(1, 50),
+    mc=st.sampled_from([1, 3, 700]),
+    width=st.sampled_from([0, 4, 30]),  # 0 scores a target vector
+    seed=st.integers(0, 2**16),
+)
+def test_noiseless_rows_score_as_if_alone(name, n, mc, width, seed):
+    # at sigma_q = 0 every draw is the posterior mean, so a row's value does
+    # not depend on which block it lands in; mc 700 over 30 cells exceeds the
+    # budget and gives one row per block.  Not bit for bit: a matrix product's
+    # last bits can change with its row count.
+    head = make_head(name, n_stages=2, n_components=2)
+    model = build_model(head, seed=seed % 7)
+    model.net.posterior = replace(model.net.posterior, sigma_q=0.0)
+    grid = np.linspace(-2.0, 2.0, width) if width else None
+    x, y = small_batch(n=n, seed=seed)
+    whole = _predict(model, x, y, grid, mc, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    alone = np.concatenate([_predict(model, x[i : i + 1], y[i : i + 1], grid, mc, rng)
+                            for i in range(n)])
+    np.testing.assert_allclose(whole, alone, rtol=1e-12, atol=1e-12)
+
+
+def _peak_bytes(model, x, y):
+    tracemalloc.start()
+    try:
+        predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predictive_memory_does_not_grow_with_rows():
+    model = build_model(NFHead(5), x_dim=1, hidden=(50,), sigma_q=0.1)
+    assert _block_rows(model.head, 20, None) < 4000  # both calls span several blocks
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((40_000, 1)), rng.standard_normal(40_000)
+    small = _peak_bytes(model, x[:4000], y[:4000])
+    large = _peak_bytes(model, x, y)
+    assert large <= 1.25 * small
 
 
 # -- invariants ----------------------------------------------------------------
