@@ -40,6 +40,8 @@ from .data import (
     save_split_indices,
     split,
     toy_generator,
+    write_grid,
+    write_table,
 )
 from .errors import ConfigError, DataError, FlowCdeError, NumericError, StructuralError
 from .heads import make_head
@@ -355,14 +357,12 @@ def _build_model(values, n_inputs, seed):
 
 
 def _write_trace(path, traces):
+    stages = [s for s, trace in enumerate(traces, start=1) for _ in trace]
+    reports = [r for trace in traces for r in trace]
+    values = np.array([(r.expected_nll, r.kl, r.free_energy) for r in reports])
     with open(path, "w") as fh:
         fh.write("stage,iteration,expected_nll,kl,free_energy\n")
-        for stage, trace in enumerate(traces, start=1):
-            for r in trace:
-                fh.write(
-                    f"{stage},{r.iteration},{r.expected_nll:.17g},"
-                    f"{r.kl:.17g},{r.free_energy:.17g}\n"
-                )
+        write_table(fh, [stages, [r.iteration for r in reports], *values.reshape(-1, 3).T])
 
 
 def _fit(values, out):
@@ -484,8 +484,7 @@ def cmd_eval(values, raw, meta):
     out = _out_dir(values)
     with open(out / "pointwise.csv", "w") as fh:
         fh.write("i,ll\n")
-        for i, v in enumerate(ll):
-            fh.write(f"{i},{v:.17g}\n")
+        write_table(fh, [range(n), ll])
     (out / "summary.txt").write_text(
         f"n = {n}\nmean_ll = {mean:.17g}\nsem = {sem:.17g}\n"
         f"raw_units = {str(values['raw_units']).lower()}\n"
@@ -520,23 +519,10 @@ def cmd_sample(values, raw, meta):
     out = _out_dir(values)
     with open(out / "samples.csv", "w") as fh:
         fh.write(",".join(ckpt.targets) + "\n")
-        for r in cols:
-            fh.write(",".join(format(v, ".17g") for v in r) + "\n")
+        write_table(fh, cols.T)
     _write_manifest(out / "manifest.cfg", "sample", raw)
     print(f"wrote {n} draws to {out / 'samples.csv'}")
     return 0
-
-
-def _invert_cdf(grid, cdf, q):
-    """Bisect the linearly interpolated CDF; grid ascending, cdf normalized."""
-    lo, hi = float(grid[0]), float(grid[-1])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.interp(mid, grid, cdf) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _refuse_nan(dens):
@@ -552,26 +538,62 @@ def _write_grid(path, names, g1, g2, dens):
     """CSV of one density per (g1[a], g2[b]) cell, a-major, at %.17g."""
     with open(path, "w") as fh:
         fh.write(f"{names[0]},{names[1]},density\n")
-        for a in range(g1.size):
-            for b in range(g2.size):
-                fh.write(f"{g1[a]:.17g},{g2[b]:.17g},{dens[a, b]:.17g}\n")
+        write_grid(fh, g1, g2, dens)
 
 
-def _quantile_row(grid, log_pdf, row):
-    """(median, q025, q975) of one density row by trapezoid quadrature."""
-    pdf = np.exp(log_pdf)
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (pdf[1:] + pdf[:-1]))])
-    if not 0.0 < cdf[-1] < math.inf:
+_QUANTILE_LEVELS = np.array([0.5, 0.025, 0.975])
+
+
+def _quantiles(grid, pdf):
+    """(rows, 3) median, q025 and q975 of each density row (rows, G).
+
+    The CDF is the trapezoid quadrature of each row on the ascending grid,
+    normalized, and read between nodes as np.interp reads it; each level is
+    found by 100 bisection halvings of [grid[0], grid[-1]], all rows at once.
+    """
+    steps = np.diff(grid)
+    cdf = np.zeros(pdf.shape)
+    np.cumsum(steps * 0.5 * (pdf[:, 1:] + pdf[:, :-1]), axis=1, out=cdf[:, 1:])
+    mass = cdf[:, -1]
+    bad = np.flatnonzero(~((0.0 < mass) & (mass < math.inf)))
+    if bad.size:
+        row = int(bad[0])
         raise NumericError(
-            f"heatmap row {row}: density integrates to {cdf[-1]} over the target "
+            f"heatmap row {row}: density integrates to {mass[row]} over the target "
             "grid; refusing to write quantiles"
         )
-    cdf /= cdf[-1]
-    return [_invert_cdf(grid, cdf, q) for q in (0.5, 0.025, 0.975)]
+    cdf /= cdf[:, -1:]
+    first = np.arange(pdf.shape[0])[:, None] * grid.size  # flat index of each row
+    lo = np.full((pdf.shape[0], _QUANTILE_LEVELS.size), grid[0])
+    hi = np.full_like(lo, grid[-1])
+    # A step too short for its CDF rise gives an inf slope, and inf * 0 on a
+    # node; np.interp returns the node value there, and so does np.where.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.zeros(pdf.shape)  # slope[:, j] holds on [grid[j], grid[j + 1])
+        slope[:, :-1] = np.diff(cdf, axis=1) / steps
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            j = np.searchsorted(grid, mid, side="right") - 1
+            left, node = grid[j], cdf.take(first + j)
+            line = slope.take(first + j) * (mid - left) + node
+            below = np.where(mid == left, node, line) < _QUANTILE_LEVELS
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _heatmap_1d(values, ckpt, out):
     stats = ckpt.stats
+    want_q = values["quantiles"]
+    if want_q and values["y_points"] < 2:
+        raise ConfigError(
+            f"setting y_points={values['y_points']}: quantiles need at least 2 target grid points"
+        )
+    if want_q and not values["y_max"] > values["y_min"]:
+        raise ConfigError(
+            f"setting y_max={values['y_max']!r}: quantiles need an ascending target grid, "
+            f"so y_max must exceed y_min={values['y_min']!r}"
+        )
     cond = values["condition"] or (math.nan,) * len(ckpt.features)
     sweep = [i for i, v in enumerate(cond) if math.isnan(v)]
     if len(sweep) != 1:
@@ -592,9 +614,8 @@ def _heatmap_1d(values, ckpt, out):
     rng = np.random.default_rng(values["seed"])
     curves = predictive_curve(ckpt.model, xn, yn, values["mc"], rng)  # (Gx, Gy) log
     _refuse_nan(curves)
-    want_q = values["quantiles"]
-    quantiles = [_quantile_row(yn, c, a) for a, c in enumerate(curves)] if want_q else []
     dens = np.exp(curves)
+    quantiles = _quantiles(yn, dens) if want_q else None
     if values["raw_units"]:
         dens = dens / y_sd
     emitted = np.minimum(dens, values["cap"]) if values["cap"] > 0 else dens
@@ -602,11 +623,7 @@ def _heatmap_1d(values, ckpt, out):
     if want_q:
         with open(out / "quantiles.csv", "w") as fh:
             fh.write("x,median,q025,q975\n")
-            for a, row in enumerate(quantiles):
-                qs = [q * y_sd + y_mu for q in row]
-                fh.write(
-                    f"{x_grid[a]:.17g},{qs[0]:.17g},{qs[1]:.17g},{qs[2]:.17g}\n"
-                )
+            write_table(fh, [x_grid, *(quantiles * y_sd + y_mu).T])
 
 
 def _heatmap_2d(values, ckpt, out):
@@ -641,6 +658,8 @@ def _heatmap_2d(values, ckpt, out):
 
 
 def cmd_heatmap(values, raw, meta):
+    if not values["cap"] >= 0:
+        raise ConfigError(f"setting cap={values['cap']!r}: must be >= 0 (0 = uncapped)")
     ckpt = load_checkpoint(_require(values, "checkpoint"))
     out = _out_dir(values)
     if values["condition"] and len(values["condition"]) != len(ckpt.features):
@@ -723,14 +742,16 @@ def cmd_grid_search(values, raw, meta):
         results.append((idx, combo, valid_ll, test_ll))
     results.sort(key=lambda r: (-r[2], r[0]))
     keys = sorted(grid_raw)
+    options = [dict(combo) for _, combo, _, _ in results]
     with open(out / "results.csv", "w") as fh:
         fh.write("rank,combo," + ",".join(keys) + ",valid_ll,test_ll\n")
-        for rank, (idx, combo, vll, tll) in enumerate(results, start=1):
-            opts = {k: o for k, o in combo}
-            fh.write(
-                f"{rank},{idx}," + ",".join(opts[k].replace(",", ";") for k in keys)
-                + f",{vll:.17g},{tll:.17g}\n"
-            )
+        write_table(fh, [
+            range(1, len(results) + 1),
+            [idx for idx, _, _, _ in results],
+            *([o[k].replace(",", ";") for o in options] for k in keys),
+            np.array([vll for _, _, vll, _ in results]),
+            np.array([tll for _, _, _, tll in results]),
+        ])
     best_idx = results[0][0]
     best_dir = out / f"combo_{best_idx:03d}"
     shutil.copyfile(best_dir / "checkpoint.ckpt", out / "best_checkpoint.ckpt")
@@ -749,11 +770,7 @@ def cmd_gen_toy(values, raw, meta):
     save_csv(out / "data.csv", ds)
     with open(out / "truth.csv", "w") as fh:
         fh.write(",".join(ds.feature_names) + ",true_ll\n")
-        for i in range(ds.n):
-            fh.write(
-                ",".join(format(v, ".17g") for v in ds.x[i])
-                + f",{truth[i]:.17g}\n"
-            )
+        write_table(fh, [*ds.x.T, truth])
     _write_manifest(out / "manifest.cfg", "gen-toy", raw)
     print(f"wrote {ds.n} rows to {out / 'data.csv'}")
     return 0

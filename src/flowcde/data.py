@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "encode_cyclic_hour",
     "load_csv",
     "save_csv",
+    "write_table",
+    "write_grid",
     "normalize",
     "apply_stats",
     "denormalize_targets",
@@ -227,13 +230,46 @@ def load_csv(path, features, targets, cyclic=()):
 def save_csv(path, ds):
     """Write features then targets, %.17g so a round trip is bit-exact."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + list(ds.target_names))
-        for i in range(ds.n):
-            writer.writerow(
-                [format(v, ".17g") for v in ds.x[i]]
-                + [format(v, ".17g") for v in ds.y[i]]
-            )
+        csv.writer(fh).writerow(list(ds.feature_names) + list(ds.target_names))
+        write_table(fh, [*ds.x.T, *ds.y.T], newline="\r\n")
+
+
+BLOCK_LINES = 4096  # lines per write, so a table's memory stays bounded
+
+
+def _cells(column):
+    """%.17g cells of a NumPy column; the str of each item of any other."""
+    if isinstance(column, np.ndarray):
+        return list(map(format, column.tolist(), repeat(".17g")))
+    return map(str, column)
+
+
+def _write_lines(fh, cells, newline):
+    # cells is a list, not a generator: unpacking a generator into zip(*...)
+    # resizes a fresh tuple per call, and CPython's free list keeps up to
+    # 2000 of them, which shows as memory growing with the row count
+    fh.write(newline.join(map(",".join, zip(*cells))) + newline)
+
+
+def write_table(fh, columns, newline="\n"):
+    """Stream equal-length columns to an open text file as CSV lines.
+
+    A NumPy column is written %.17g, so a round trip is bit-exact; any other
+    column (row numbers, option strings) is written with str.  Each write
+    carries BLOCK_LINES lines.
+    """
+    for start in range(0, len(columns[0]), BLOCK_LINES):
+        _write_lines(fh, [_cells(c[start : start + BLOCK_LINES]) for c in columns], newline)
+
+
+def write_grid(fh, g1, g2, values):
+    """Stream one `g1[a],g2[b],values[a, b]` line per cell, a-major, at %.17g.
+
+    Each write carries one grid row, and each axis is formatted once.
+    """
+    g2_cells = _cells(g2)
+    for a, row in zip(g1, values):
+        _write_lines(fh, [repeat(format(a, ".17g")), g2_cells, _cells(row)], "\n")
 
 
 # -- splitting ------------------------------------------------------------------

@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.checkpoint import Checkpoint, save_checkpoint
-from flowcde.cli import main, parse_config_file, resolve_settings
+from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
 from flowcde.data import load_csv, toy_true_log_density
-from flowcde.errors import ConfigError
+from flowcde.errors import ConfigError, NumericError
 from flowcde.heads import make_head
 from flowcde.training import CdeModel
 
@@ -207,6 +210,10 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
     assert "Traceback" not in err
 
 
+# refused below the CLI, by messages that name the library's argument
+_CAUGHT_IN_LIBRARY_TERMS = {("heatmap", "x_points=0"), ("train", "sigma_q=0")}
+
+
 @pytest.mark.parametrize(
     "command,setting",
     [
@@ -214,6 +221,11 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("eval", "mc=0"),
         ("heatmap", "x_points=0"),
         ("heatmap", "y_points=0"),
+        # quantiles bisect an ascending target grid of at least two points
+        ("heatmap", "y_min=3 y_max=-3"),
+        ("heatmap", "y_min=1 y_max=1"),
+        ("heatmap", "y_points=1"),
+        ("heatmap", "cap=-1"),
         ("train", "hidden=0"),
         ("train", "sigma_q=0"),
         ("train", "batch_size=401"),  # the toy data has 400 rows
@@ -230,8 +242,11 @@ def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, 
         "gen-toy": [],
     }[command]
     capsys.readouterr()
-    assert run(command, *args, setting, f"out={tmp_path / 'x'}") == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert run(command, *args, *setting.split(), f"out={tmp_path / 'x'}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if (command, setting) not in _CAUGHT_IN_LIBRARY_TERMS:
+        assert setting.split()[-1].partition("=")[0] in err
     assert not (tmp_path / "x" / "data.csv").exists()
 
 
@@ -463,6 +478,85 @@ def test_heatmap_refuses_quantiles_of_a_zero_mass_row(trained, tmp_path, capsys)
     assert np.all(hm["density"] == 0.0)
 
 
+def test_heatmap_without_quantiles_takes_any_target_grid(trained, tmp_path):
+    ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    for n, grid in enumerate((("y_min=3", "y_max=-3"), ("y_points=1",))):
+        out = tmp_path / f"hm{n}"
+        assert run("heatmap", ckpt, "x_points=3", "mc=3", "quantiles=false", *grid,
+                   f"out={out}") == 0
+        assert not (out / "quantiles.csv").exists()
+
+
+# -- heatmap quantiles against the per-row bisection they replaced -------------------
+
+
+def _invert_cdf(grid, cdf, q):
+    lo, hi = float(grid[0]), float(grid[-1])
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.interp(mid, grid, cdf) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _quantile_row(grid, log_pdf, row):
+    pdf = np.exp(log_pdf)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (pdf[1:] + pdf[:-1]))])
+    if not 0.0 < cdf[-1] < math.inf:
+        raise NumericError(
+            f"heatmap row {row}: density integrates to {cdf[-1]} over the target "
+            "grid; refusing to write quantiles"
+        )
+    cdf /= cdf[-1]
+    return [_invert_cdf(grid, cdf, q) for q in (0.5, 0.025, 0.975)]
+
+
+@st.composite
+def _log_pdf_rows(draw):
+    """(ascending non-uniform grid, (rows, G) log densities) with bumps narrow
+    enough to be a spike and far enough out to underflow to flat zeros."""
+    steps = draw(arrays(float, st.integers(1, 40), elements=st.floats(1e-3, 2.0)))
+    grid = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        centre = draw(st.floats(grid[0] - 1.0, grid[-1] + 1.0))
+        width = draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0]))
+        rows.append(-0.5 * ((grid - centre) / width) ** 2 + draw(st.floats(-700.0, 5.0)))
+    return grid, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_log_pdf_rows())
+# steps so small that a CDF slope overflows to inf: np.interp still returns
+# the node value when a bisection point lands on a node
+@example(case=(np.arange(5) * 1e-310, np.array([[0.0] * 5, [-1.0, 0.0, -3.0, 0.5, 0.0]])))
+def test_quantiles_equal_the_per_row_bisection(case):
+    grid, log_pdf = case
+    try:
+        old = np.array([_quantile_row(grid, row, a) for a, row in enumerate(log_pdf)])
+    except NumericError as err:
+        with pytest.raises(NumericError) as new_err:
+            _quantiles(grid, np.exp(log_pdf))
+        assert str(new_err.value) == str(err)
+        return
+    new = _quantiles(grid, np.exp(log_pdf))
+    assert new.shape == old.shape
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def test_quantiles_name_the_first_zero_mass_row():
+    grid = np.linspace(-3.0, 3.0, 31)
+    log_pdf = np.stack([-0.5 * grid**2, np.full(31, -1e4), -0.5 * grid**2, np.full(31, -1e4)])
+    with pytest.raises(NumericError) as err:
+        _quantiles(grid, np.exp(log_pdf))
+    assert str(err.value) == (
+        "heatmap row 1: density integrates to 0.0 over the target grid; "
+        "refusing to write quantiles"
+    )
+
+
 def test_heatmap_needs_exactly_one_swept_feature(trained, tmp_path):
     assert run(
         "heatmap",
@@ -675,6 +769,14 @@ def test_autoreg_eval_and_sample(trained2, tmp_path):
     assert set(smp.dtype.names) == {"y1", "y2"} and smp.shape[0] == 30
 
 
+def test_autoreg_heatmap_rejects_a_negative_cap(trained2, tmp_path, capsys):
+    out = tmp_path / "hmcap"
+    assert run("heatmap", f"checkpoint={trained2 / 'checkpoint.ckpt'}", "cap=-1",
+               f"out={out}") == 2
+    assert "cap" in capsys.readouterr().err
+    assert not (out / "heatmap.csv").exists()
+
+
 def test_autoreg_heatmap_mass(trained2, tmp_path):
     out = tmp_path / "hm"
     assert run(
@@ -707,6 +809,31 @@ def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path):
         f"out={out}",
     ) == 4
     assert not (out / "heatmap.csv").exists()
+
+
+# -- CSV format ---------------------------------------------------------------------
+
+
+def test_every_numeric_cell_is_written_at_17_significant_digits(trained, tmp_path):
+    ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    assert run("heatmap", ckpt, "x_points=5", "y_points=31", "mc=3",
+               f"out={tmp_path / 'hm'}") == 0
+    assert run("eval", ckpt, f"data={trained / 'test.csv'}", "mc=3",
+               f"out={tmp_path / 'ev'}") == 0
+    assert run("sample", ckpt, "condition=0.5", "n=50", "mc=3",
+               f"out={tmp_path / 'smp'}") == 0
+    files = [tmp_path / "hm" / "heatmap.csv", tmp_path / "hm" / "quantiles.csv",
+             tmp_path / "ev" / "pointwise.csv", tmp_path / "smp" / "samples.csv",
+             trained / "trace.csv", trained / "valid.csv", trained / "test.csv"]
+    for path in files:
+        lines = path.read_text().splitlines()[1:]
+        assert lines, path
+        for line in lines:
+            for cell in line.split(","):
+                assert cell == format(float(cell), ".17g"), (path, line)
+    # the splits are written by csv.writer, whose lines end in CRLF
+    valid = (trained / "valid.csv").read_bytes()
+    assert valid.endswith(b"\r\n") and valid.count(b"\n") == valid.count(b"\r\n")
 
 
 # -- environment --------------------------------------------------------------------

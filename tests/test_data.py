@@ -1,6 +1,9 @@
 """CSV ingestion, normalization conventions, splits, and toy generators."""
 
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from flowcde.data import (
     split,
     toy_generator,
     toy_true_log_density,
+    write_grid,
+    write_table,
 )
 from flowcde.errors import ConfigError, DataError
 
@@ -154,6 +159,59 @@ def test_csv_round_trip_is_exact(tmp_path):
     back = load_csv(p, ds.feature_names, ds.target_names)
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
+
+
+EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308, math.inf, 2.0])
+
+
+def test_writers_match_the_per_cell_format():
+    fh = io.StringIO()
+    write_table(fh, [range(EXTREMES.size), EXTREMES, EXTREMES[::-1]])
+    assert fh.getvalue() == "".join(
+        f"{i},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(zip(EXTREMES, EXTREMES[::-1]))
+    )
+    values = np.stack([np.roll(EXTREMES, k) for k in range(EXTREMES.size)])
+    fh = io.StringIO()
+    write_grid(fh, EXTREMES, EXTREMES[::-1], values)
+    assert fh.getvalue() == "".join(
+        f"{EXTREMES[a]:.17g},{EXTREMES[::-1][b]:.17g},{values[a, b]:.17g}\n"
+        for a in range(EXTREMES.size)
+        for b in range(EXTREMES.size)
+    )
+
+
+def test_save_csv_keeps_crlf_and_quotes_only_the_header(tmp_path):
+    ds = Dataset(EXTREMES[:, None], EXTREMES[::-1], feature_names=("a,b",))
+    p = tmp_path / "d.csv"
+    save_csv(p, ds)
+    assert p.read_bytes() == (
+        '"a,b",y\r\n'
+        + "".join(f"{a:.17g},{b:.17g}\r\n" for a, b in zip(EXTREMES, EXTREMES[::-1]))
+    ).encode()
+
+
+def _peak_bytes(write, *args):
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            write(fh, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_writers_stream_in_bounded_memory():
+    # a whole-array .tolist() or a whole-file join grows with the row count
+    rng = np.random.default_rng(0)
+    g2 = np.linspace(-3.0, 3.0, 401)
+    small, large = rng.random((400, 401)), rng.random((4000, 401))
+    peaks = [_peak_bytes(write_grid, np.linspace(-2.0, 2.0, v.shape[0]), g2, v)
+             for v in (small, large)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    # pointwise.csv: row number and log-likelihood
+    small, large = rng.standard_normal(8000), rng.standard_normal(80000)
+    peaks = [_peak_bytes(write_table, [range(v.size), v]) for v in (small, large)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_csv_missing_column_is_named(tmp_path):
