@@ -2,9 +2,9 @@
 
 p(y_a, y_b | x) = p(y_a | x) * p(y_b | x, y_a): two independently trained
 1D models, the second seeing the first target as an extra (normalized)
-input column.  The chain ordering is part of the model; evaluation against
-a different ordering is refused, since swapping the chain produces a
-genuinely different model.
+input column.  The chain ordering is part of the model: swapping the chain
+produces a genuinely different model, so every function here follows the
+model's own order.
 
 Grid evaluation marginalizes missing conditioning features by averaging the
 predictive density over standard-normal draws for them (features are
@@ -13,11 +13,11 @@ normalized, so their marginal is approximately unit normal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StructuralError
+from .errors import StructuralError
 from .training import predictive_curve, predictive_log_density
 
 __all__ = [
@@ -66,17 +66,9 @@ class AutoregModel:
     def chain_names(self):
         return tuple(self.target_names[i] for i in self.order)
 
-    def check_order(self, order):
-        if order is not None and tuple(order) != self.order:
-            raise ConfigError(
-                f"model was trained with chain order {self.chain_names}; "
-                f"refusing evaluation with order {tuple(order)}"
-            )
 
-
-def joint_log_density(model, x, y, mc, rng, order=None):
+def joint_log_density(model, x, y, mc, rng):
     """Per-datum log p(y | x); y has the two target columns in data order."""
-    model.check_order(order)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1, 2)
     y_first = y[:, model.order[0]]
@@ -96,8 +88,6 @@ def density_grid(
     marginal_samples=1,
     mc=10,
     rng=None,
-    cap=None,
-    order=None,
 ):
     """Predictive density on a (first, second) target grid.
 
@@ -105,7 +95,6 @@ def density_grid(
     those are marginalized by averaging over standard-normal draws.
     Axes follow the model's chain order.
     """
-    model.check_order(order)
     if rng is None:
         rng = np.random.default_rng(0)
     cond = np.asarray(condition, dtype=float).reshape(-1)
@@ -129,8 +118,6 @@ def density_grid(
         l2 = predictive_curve(model.stage2, rows2, g2, mc, rng)
         dens += np.exp(l1[:, None] + l2)
     dens /= marginal_samples
-    if cap is not None:
-        dens = np.minimum(dens, cap)
     return dens
 
 

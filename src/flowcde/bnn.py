@@ -161,16 +161,6 @@ class VariationalPosterior:
             )
         return replace(self, w_means=split["w_mean"], b_means=split["b_mean"])
 
-    def w_var(self, layer):
-        if self.sigma_q is not None:
-            return np.full_like(self.w_means[layer], self.sigma_q**2)
-        return np.exp(self.w_logvars[layer])
-
-    def b_var(self, layer):
-        if self.sigma_q is not None:
-            return np.full_like(self.b_means[layer], self.sigma_q**2)
-        return np.exp(self.b_logvars[layer])
-
     @property
     def n_trainable(self):
         n = sum(w.size + b.size for w, b in zip(self.w_means, self.b_means))

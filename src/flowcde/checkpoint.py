@@ -11,6 +11,7 @@ schema, and (for two-dimensional models) the chain ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .bnn import (
     PriorConfig,
     VariationalPosterior,
 )
-from .data import NormStats
+from .data import NormStats, identity_stats
 from .errors import DataError
 from .heads import make_head
 from .training import CdeModel
@@ -37,7 +38,7 @@ class Checkpoint:
     """A fitted model plus the data pipeline needed to feed it."""
 
     model: object  # CdeModel or AutoregModel
-    stats: NormStats | None = None
+    stats: NormStats | None = None  # as stored; None reads raw units (see norm)
     features: tuple = ()
     cyclic: tuple = ()
     targets: tuple = ("y",)
@@ -45,6 +46,14 @@ class Checkpoint:
     @property
     def kind(self):
         return "autoreg" if isinstance(self.model, AutoregModel) else "single"
+
+    @cached_property
+    def norm(self):
+        """The stats that map raw units to the model's: the stored ones, or
+        identity stats over the schema's expanded columns without them."""
+        if self.stats is not None:
+            return self.stats
+        return identity_stats(self.features, self.cyclic, self.targets)
 
 
 def _fmt(v):
@@ -249,11 +258,13 @@ def _read_checkpoint(path):
     else:
         raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
     r.finish()
-    # with stats, apply_stats checks the columns; without, check the schema here
-    expanded = len(features) + sum(f in cyclic for f in features)
+    ckpt = Checkpoint(model, stats, features, cyclic, targets)
+    # stored stats are checked against the data's columns by apply_stats;
+    # identity stats come from the schema, so check it against the model here
+    expanded = len(ckpt.norm.feature_names)
     if stats is None and features and expanded != model.n_features:
         raise DataError(
             f"{path}: schema.features {','.join(features)} expand to {expanded} "
             f"inputs, the model takes {model.n_features}"
         )
-    return Checkpoint(model, stats, features, cyclic, targets)
+    return ckpt

@@ -32,10 +32,12 @@ from .autoreg import AutoregModel, density_grid, joint_log_density
 from .bnn import BayesianMLP, MLPArchitecture, init_posterior, sample_prior_cde
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
-    Dataset,
     apply_stats,
+    denormalize_targets,
     load_csv,
     normalize,
+    normalize_features,
+    normalize_targets,
     save_csv,
     save_split_indices,
     split,
@@ -334,7 +336,6 @@ def _train_config(values, seed):
         iterations=values["iterations"],
         batch_size=values["batch_size"] or None,
         mc_samples_train=values["mc_train"],
-        mc_samples_test=values["mc_test"],
         seed=seed,
     )
 
@@ -350,6 +351,8 @@ def _build_model(values, n_inputs, seed):
     arch = MLPArchitecture(n_inputs + head.extra_input_dim, values["hidden"], head.output_dim)
     if values["mode"] not in ("fixed", "learned"):
         raise ConfigError(f"mode must be fixed or learned, got {values['mode']!r}")
+    if values["sigma_q"] <= 0:
+        raise ConfigError(f"setting sigma_q={values['sigma_q']!r}: must be > 0")
     post = init_posterior(arch, seed=seed, sigma_init=values["sigma_q"], mode=values["mode"])
     prior = head.default_prior(values["sigma_w"], values["lambda"], values["sigma_beta"])
     net = BayesianMLP(arch, post, prior, head.group_map())
@@ -406,14 +409,14 @@ def _fit(values, out):
 
 def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
     """Per-row log predictive densities; a non-finite row raises NumericError."""
-    nds = apply_stats(ckpt.stats, raw_ds) if ckpt.stats else raw_ds
+    nds = apply_stats(ckpt.norm, raw_ds)
     rng = np.random.default_rng(seed)
     if ckpt.kind == "autoreg":
         ll = joint_log_density(ckpt.model, nds.x, nds.y, mc, rng)
     else:
         ll = predictive_log_density(ckpt.model, nds.x, nds.y[:, 0], mc, rng)
-    if raw_units and ckpt.stats is not None:
-        ll = ll + ckpt.stats.log_jacobian
+    if raw_units:
+        ll = ll + ckpt.norm.log_jacobian
     bad = np.flatnonzero(~np.isfinite(ll))
     if bad.size:
         i = int(bad[0])
@@ -425,16 +428,6 @@ def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
     return ll
 
 
-def _normalize_rows(ckpt, rows):
-    """Raw feature rows (no nan) -> normalized expanded feature rows."""
-    if ckpt.stats is None:
-        return rows
-    kinds = tuple("cyclic-hour" if f in ckpt.cyclic else "numeric" for f in ckpt.features)
-    probe = Dataset(rows, np.zeros((len(rows), len(ckpt.targets))),
-                    feature_names=ckpt.features, target_names=ckpt.targets, kinds=kinds)
-    return apply_stats(ckpt.stats, probe).x
-
-
 def _normalize_condition(ckpt, condition):
     """Raw-unit condition (nan allowed) -> normalized expanded feature row."""
     n_raw = len(ckpt.features)
@@ -443,18 +436,7 @@ def _normalize_condition(ckpt, condition):
             f"condition needs {n_raw} values for features {ckpt.features}, "
             f"got {len(condition)}"
         )
-    row = np.asarray(condition, dtype=float)
-    filled = np.where(np.isnan(row), 0.0, row)  # placeholder through the pipeline
-    out = _normalize_rows(ckpt, filled[None, :])[0]
-    # restore nan marks on the expanded columns of missing raw features
-    expanded_from = []
-    for f in ckpt.features:
-        expanded_from += [f, f] if f in ckpt.cyclic else [f]
-    missing = {f for f, v in zip(ckpt.features, row) if math.isnan(v)}
-    for j, f in enumerate(expanded_from):
-        if f in missing:
-            out[j] = math.nan
-    return out
+    return normalize_features(ckpt.norm, condition, ckpt.features, ckpt.cyclic)[0]
 
 
 # -- commands -----------------------------------------------------------------------
@@ -503,7 +485,6 @@ def cmd_sample(values, raw, meta):
         raise ConfigError("sampling requires a fully specified condition")
     rng = np.random.default_rng(values["seed"])
     n, mc = values["n"], values["mc"]
-    stats = ckpt.stats
     if ckpt.kind == "autoreg":
         model = ckpt.model
         first = model_sample(model.stage1, x_row, n, mc, rng)
@@ -514,8 +495,7 @@ def cmd_sample(values, raw, meta):
         cols[:, model.order[1]] = second
     else:
         cols = model_sample(ckpt.model, x_row, n, mc, rng)[:, None]
-    if stats is not None:
-        cols = cols * stats.y_std + stats.y_mean
+    cols = denormalize_targets(ckpt.norm, cols)
     out = _out_dir(values)
     with open(out / "samples.csv", "w") as fh:
         fh.write(",".join(ckpt.targets) + "\n")
@@ -583,7 +563,11 @@ def _quantiles(grid, pdf):
 
 
 def _heatmap_1d(values, ckpt, out):
-    stats = ckpt.stats
+    stats = ckpt.norm
+    if values["x_points"] < 1:
+        raise ConfigError(
+            f"setting x_points={values['x_points']}: the swept feature needs at least 1 grid point"
+        )
     want_q = values["quantiles"]
     if want_q and values["y_points"] < 2:
         raise ConfigError(
@@ -606,52 +590,44 @@ def _heatmap_1d(values, ckpt, out):
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     rows_raw = np.tile(np.asarray(cond, dtype=float), (x_grid.size, 1))
     rows_raw[:, j] = x_grid
-    xn = _normalize_rows(ckpt, rows_raw)
+    xn = normalize_features(stats, rows_raw, ckpt.features, ckpt.cyclic)
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
-    y_mu = stats.y_mean[0] if stats else 0.0
-    y_sd = stats.y_std[0] if stats else 1.0
-    yn = (y_grid - y_mu) / y_sd
+    yn = normalize_targets(stats, y_grid, 0)
     rng = np.random.default_rng(values["seed"])
     curves = predictive_curve(ckpt.model, xn, yn, values["mc"], rng)  # (Gx, Gy) log
     _refuse_nan(curves)
     dens = np.exp(curves)
     quantiles = _quantiles(yn, dens) if want_q else None
     if values["raw_units"]:
-        dens = dens / y_sd
+        dens = dens / stats.y_std[0]
     emitted = np.minimum(dens, values["cap"]) if values["cap"] > 0 else dens
     _write_grid(out / "heatmap.csv", ("x", "y"), x_grid, y_grid, emitted)
     if want_q:
         with open(out / "quantiles.csv", "w") as fh:
             fh.write("x,median,q025,q975\n")
-            write_table(fh, [x_grid, *(quantiles * y_sd + y_mu).T])
+            write_table(fh, [x_grid, *denormalize_targets(stats, quantiles, 0).T])
 
 
 def _heatmap_2d(values, ckpt, out):
-    stats = ckpt.stats
+    stats = ckpt.norm
     model = ckpt.model
     cond = values["condition"] or (math.nan,) * len(ckpt.features)
     row = _normalize_condition(ckpt, tuple(cond))
     a_idx, b_idx = model.order
     g_a = np.linspace(values["y_min"], values["y_max"], values["y_points"])
     g_b = np.linspace(values["y2_min"], values["y2_max"], values["y2_points"])
-    if stats is not None:
-        gan = (g_a - stats.y_mean[a_idx]) / stats.y_std[a_idx]
-        gbn = (g_b - stats.y_mean[b_idx]) / stats.y_std[b_idx]
-        jac = stats.y_std[a_idx] * stats.y_std[b_idx]
-    else:
-        gan, gbn, jac = g_a, g_b, 1.0
     dens = density_grid(
         model,
         row,
-        gan,
-        gbn,
+        normalize_targets(stats, g_a, a_idx),
+        normalize_targets(stats, g_b, b_idx),
         marginal_samples=values["marginal_samples"],
         mc=values["mc"],
         rng=np.random.default_rng(values["seed"]),
     )
     _refuse_nan(dens)
     if values["raw_units"]:
-        dens = dens / jac
+        dens = dens / (stats.y_std[a_idx] * stats.y_std[b_idx])
     if values["cap"] > 0:
         dens = np.minimum(dens, values["cap"])
     _write_grid(out / "heatmap.csv", model.chain_names, g_a, g_b, dens)

@@ -9,6 +9,10 @@ Conventions fixed here:
   normalization leaves them alone.
 - held-out log-likelihoods on normalized targets convert to raw target units
   by adding NormStats.log_jacobian (= -sum ln std_y).
+- raw and model units are mapped here alone: apply_stats for datasets,
+  normalize_features / normalize_targets / denormalize_targets for bare rows
+  and grids.  identity_stats stands in for a model fitted without stats: it
+  only expands the cyclic columns.
 
 CSV rows whose cells fail to parse are dropped and their 1-based row numbers
 recorded on the dataset; file-level problems (missing column, ragged row,
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -34,8 +38,11 @@ __all__ = [
     "save_csv",
     "write_table",
     "write_grid",
+    "identity_stats",
     "normalize",
     "apply_stats",
+    "normalize_features",
+    "normalize_targets",
     "denormalize_targets",
     "split",
     "save_split_indices",
@@ -103,24 +110,28 @@ def encode_cyclic_hour(hours):
     return np.sin(ang), np.cos(ang)
 
 
-def _expand(ds):
-    """Replace each cyclic-hour column with its (sin, cos) pair."""
-    if CYCLIC_HOUR not in ds.kinds:
-        return ds
-    cols, names, kinds = [], [], []
-    for j, (name, kind) in enumerate(zip(ds.feature_names, ds.kinds)):
+def _column_kinds(features, cyclic):
+    """Kinds of raw feature columns: cyclic-hour for those named in cyclic."""
+    return tuple(CYCLIC_HOUR if c in cyclic else NUMERIC for c in features)
+
+
+def _expand(x, names, kinds):
+    """(x, names, kinds) with each cyclic-hour column replaced by its (sin, cos)
+    pair; a NaN hour gives a NaN pair."""
+    if CYCLIC_HOUR not in kinds:
+        return x, tuple(names), tuple(kinds)
+    cols, out_names, out_kinds = [], [], []
+    for j, (name, kind) in enumerate(zip(names, kinds)):
         if kind == CYCLIC_HOUR:
-            s, c = encode_cyclic_hour(ds.x[:, j])
+            s, c = encode_cyclic_hour(x[:, j])
             cols += [s, c]
-            names += [f"{name}_sin", f"{name}_cos"]
-            kinds += [CYCLIC_SIN, CYCLIC_COS]
+            out_names += [f"{name}_sin", f"{name}_cos"]
+            out_kinds += [CYCLIC_SIN, CYCLIC_COS]
         else:
-            cols.append(ds.x[:, j])
-            names.append(name)
-            kinds.append(kind)
-    return replace(
-        ds, x=np.column_stack(cols), feature_names=tuple(names), kinds=tuple(kinds)
-    )
+            cols.append(x[:, j])
+            out_names.append(name)
+            out_kinds.append(kind)
+    return np.column_stack(cols), tuple(out_names), tuple(out_kinds)
 
 
 @dataclass(frozen=True)
@@ -140,43 +151,69 @@ class NormStats:
         return -float(np.log(self.y_std).sum())
 
 
+def identity_stats(features, cyclic, targets):
+    """Stats that keep raw units: zero means and unit stds over the expanded
+    columns of the schema, so only the cyclic expansion applies."""
+    _, names, kinds = _expand(np.empty((0, len(features))), features,
+                              _column_kinds(features, cyclic))
+    return NormStats(names, kinds, np.zeros(len(names)), np.ones(len(names)),
+                     np.zeros(len(targets)), np.ones(len(targets)))
+
+
 def normalize(train):
     """(normalized train, stats); population std from the train split only."""
-    ds = _expand(train)
-    x_mean = np.zeros(ds.x.shape[1])
-    x_std = np.ones(ds.x.shape[1])
-    for j, kind in enumerate(ds.kinds):
+    x, names, kinds = _expand(train.x, train.feature_names, train.kinds)
+    x_mean = np.zeros(x.shape[1])
+    x_std = np.ones(x.shape[1])
+    for j, kind in enumerate(kinds):
         if kind != NUMERIC:
             continue
-        x_mean[j] = ds.x[:, j].mean()
-        x_std[j] = ds.x[:, j].std()
+        x_mean[j] = x[:, j].mean()
+        x_std[j] = x[:, j].std()
         if x_std[j] <= 0:
-            raise DataError(f"constant feature column {ds.feature_names[j]!r}")
-    y_mean = ds.y.mean(axis=0)
-    y_std = ds.y.std(axis=0)
+            raise DataError(f"constant feature column {names[j]!r}")
+    y_mean = train.y.mean(axis=0)
+    y_std = train.y.std(axis=0)
     for t, sd in enumerate(y_std):
         if sd <= 0:
-            raise DataError(f"constant target column {ds.target_names[t]!r}")
-    stats = NormStats(ds.feature_names, ds.kinds, x_mean, x_std, y_mean, y_std)
+            raise DataError(f"constant target column {train.target_names[t]!r}")
+    stats = NormStats(names, kinds, x_mean, x_std, y_mean, y_std)
     return apply_stats(stats, train), stats
+
+
+def _scale_features(stats, x, names):
+    if names != stats.feature_names:
+        raise DataError(f"columns {names} do not match stats {stats.feature_names}")
+    return (x - stats.x_mean) / stats.x_std
 
 
 def apply_stats(stats, other):
     """Transform any dataset with train statistics (no leakage by design)."""
-    ds = _expand(other)
-    if ds.feature_names != stats.feature_names:
-        raise DataError(
-            f"columns {ds.feature_names} do not match stats {stats.feature_names}"
-        )
+    x, names, kinds = _expand(other.x, other.feature_names, other.kinds)
     return replace(
-        ds,
-        x=(ds.x - stats.x_mean) / stats.x_std,
-        y=(ds.y - stats.y_mean) / stats.y_std,
+        other,
+        x=_scale_features(stats, x, names),
+        y=normalize_targets(stats, other.y),
+        feature_names=names,
+        kinds=kinds,
     )
 
 
-def denormalize_targets(stats, y):
-    return np.asarray(y, dtype=float) * stats.y_std + stats.y_mean
+def normalize_features(stats, rows, features, cyclic=()):
+    """Raw feature rows (N, len(features)) in model units; NaN stays NaN."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    x, names, _ = _expand(rows, features, _column_kinds(features, cyclic))
+    return _scale_features(stats, x, names)
+
+
+def normalize_targets(stats, y, column=slice(None)):
+    """Raw targets in model units: every column, or the one column given."""
+    return (np.asarray(y, dtype=float) - stats.y_mean[column]) / stats.y_std[column]
+
+
+def denormalize_targets(stats, y, column=slice(None)):
+    """Model-unit targets back in raw units: every column, or the one given."""
+    return np.asarray(y, dtype=float) * stats.y_std[column] + stats.y_mean[column]
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -216,13 +253,12 @@ def load_csv(path, features, targets, cyclic=()):
     if not rows:
         raise DataError(f"{path}: no usable data rows (rejected: {rejected})")
     mat = np.asarray(rows)
-    kinds = tuple(CYCLIC_HOUR if c in cyclic else NUMERIC for c in features)
     return Dataset(
         x=mat[:, : len(features)],
         y=mat[:, len(features):],
         feature_names=features,
         target_names=targets,
-        kinds=kinds,
+        kinds=_column_kinds(features, cyclic),
         rejected_rows=tuple(rejected),
     )
 

@@ -27,15 +27,12 @@ density or -inf, never NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StructuralError
 from .tape import expm1, log1p, softplus
 
 __all__ = [
-    "FlowStack",
     "constrain",
     "stage_forward",
     "stage_log_grad",
@@ -112,89 +109,6 @@ def log_density_batch(theta, y):
     return log_density_params(columns, np.asarray(y, dtype=float))
 
 
-@dataclass(frozen=True)
-class FlowStack:
-    """K radial stages plus an output shift, as plain arrays.
-
-    K = 0 is legal and reduces to a unit normal centred at the shift.
-    """
-
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    gamma: np.ndarray
-    shift: float
-
-    def __post_init__(self):
-        for name in ("alpha_hat", "beta_hat", "gamma"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, arr)
-        k = self.alpha_hat.shape[0]
-        if self.beta_hat.shape != (k,) or self.gamma.shape != (k,):
-            raise StructuralError("stage parameter arrays must share one length")
-        object.__setattr__(self, "shift", float(self.shift))
-        if not (
-            np.isfinite(self.alpha_hat).all()
-            and np.isfinite(self.beta_hat).all()
-            and np.isfinite(self.gamma).all()
-            and np.isfinite(self.shift)
-        ):
-            raise StructuralError("flow parameters must be finite")
-
-    @property
-    def n_stages(self):
-        return self.alpha_hat.shape[0]
-
-    def to_vector(self):
-        """Packed layout [ah_1, bh_1, g_1, ..., s], width 3K+1."""
-        out = np.empty(3 * self.n_stages + 1)
-        out[0:-1:3] = self.alpha_hat
-        out[1:-1:3] = self.beta_hat
-        out[2:-1:3] = self.gamma
-        out[-1] = self.shift
-        return out
-
-    @classmethod
-    def from_vector(cls, vec, n_stages=None):
-        vec = np.asarray(vec, dtype=float)
-        if vec.ndim != 1 or vec.shape[0] < 1 or (vec.shape[0] - 1) % 3 != 0:
-            raise StructuralError(f"packed flow vector has bad shape {vec.shape}")
-        if n_stages is not None and vec.shape[0] != 3 * n_stages + 1:
-            raise StructuralError(
-                f"expected {3 * n_stages + 1} packed values for {n_stages} stages, "
-                f"got {vec.shape[0]}"
-            )
-        return cls(vec[0:-1:3], vec[1:-1:3], vec[2:-1:3], vec[-1])
-
-    def to_line(self):
-        """'K s ah_1 bh_1 g_1 ...' with full float round-trip precision."""
-        parts = [str(self.n_stages), f"{self.shift:.17g}"]
-        for i in range(self.n_stages):
-            parts.append(f"{self.alpha_hat[i]:.17g}")
-            parts.append(f"{self.beta_hat[i]:.17g}")
-            parts.append(f"{self.gamma[i]:.17g}")
-        return " ".join(parts)
-
-    @classmethod
-    def from_line(cls, line):
-        parts = line.split()
-        if not parts:
-            raise StructuralError("empty flow line")
-        try:
-            k = int(parts[0])
-            nums = [float(p) for p in parts[1:]]
-        except ValueError as err:
-            raise StructuralError(f"bad flow line: {err}") from None
-        if k < 0 or len(nums) != 3 * k + 1:
-            raise StructuralError(
-                f"flow line declares {k} stages but carries {len(nums)} numbers"
-            )
-        vals = np.array(nums[1:]).reshape(k, 3)
-        return cls(vals[:, 0], vals[:, 1], vals[:, 2], nums[0])
-
-    def log_density(self, y):
-        return log_density_batch(self.to_vector(), y)
-
-
 def stage_inverse(t, alpha_hat, beta_hat, gamma):
     """Solve f(z) = t for one stage in closed form; broadcasts.
 
@@ -217,13 +131,11 @@ def sample(theta, n, rng):
     """Draw n samples: unit-normal base variables pushed through the
     inverse stages (stage 1 first) and shifted by s.
 
-    ``theta`` is a FlowStack, one packed vector (3K+1,) shared by every draw,
-    or (n, 3K+1) packed vectors, one stack per draw.
+    ``theta`` is one packed vector (3K+1,) shared by every draw, or
+    (n, 3K+1) packed vectors, one stack per draw.
     """
     if n < 1:
         raise StructuralError("need at least one sample")
-    if isinstance(theta, FlowStack):
-        theta = theta.to_vector()
     theta = np.asarray(theta, dtype=float)
     width = theta.shape[-1]
     if (width - 1) % 3 != 0 or theta.shape[:-1] not in ((), (n,)):

@@ -26,7 +26,7 @@ is part of the noise convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class TrainConfig:
     iterations: int = 5000
     batch_size: int | None = None  # None trains full-batch
     mc_samples_train: int = 20
-    mc_samples_test: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ class TrainConfig:
             raise StructuralError("learning_rate must be > 0")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise StructuralError("adam betas must lie in [0, 1)")
-        if self.mc_samples_train < 1 or self.mc_samples_test < 1:
+        if self.mc_samples_train < 1:
             raise StructuralError("mc_samples must be >= 1")
         if self.iterations < 0:
             raise StructuralError("iterations must be >= 0")

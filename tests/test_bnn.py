@@ -94,12 +94,11 @@ def test_init_posterior_properties():
     for wa, wb in zip(a.w_means, b.w_means):
         assert np.array_equal(wa, wb)
     assert a.sigma_q == 1e-5
-    assert np.allclose(a.w_var(0), 1e-10, rtol=1e-15)
     assert np.abs(a.w_means[0]).max() <= np.sqrt(6.0 / (3 + 8))
     assert np.abs(a.w_means[1]).max() <= np.sqrt(6.0 / (8 + 5))
     assert all(np.all(bm == 0) for bm in a.b_means)
     learned = init_posterior(arch, 1, sigma_init=1e-5, mode="learned")
-    assert np.allclose(learned.w_var(0), 1e-10, rtol=1e-12)
+    assert np.allclose(np.exp(learned.w_logvars[0]), 1e-10, rtol=1e-12)
     with pytest.raises(StructuralError):
         init_posterior(arch, 0, sigma_init=0.0)
     with pytest.raises(ConfigError):
@@ -259,7 +258,8 @@ def test_kl_matches_monte_carlo():
     layers = range(net.arch.n_layers)
     mu_q = np.concatenate([np.concatenate([post.w_means[l].ravel(), post.b_means[l]]) for l in layers])
     sd_q = np.concatenate(
-        [np.concatenate([np.sqrt(post.w_var(l)).ravel(), np.sqrt(post.b_var(l))]) for l in layers]
+        [np.sqrt(np.exp(np.concatenate([post.w_logvars[l].ravel(), post.b_logvars[l]])))
+         for l in layers]
     )
     mu_p, sd_p = net.prior_mean_std_vectors()
     n = 1_000_000

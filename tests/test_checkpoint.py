@@ -101,6 +101,23 @@ def test_autoreg_round_trip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_statsless_checkpoint_maps_through_identity_stats(tmp_path):
+    model = build_model("nf", in_dim=3, n_stages=1)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, Checkpoint(model, None, ("a", "hour"), ("hour",), ("y",)))
+    back = load_checkpoint(p)
+    assert back.stats is None
+    assert back.norm.feature_names == ("a", "hour_sin", "hour_cos")
+    assert np.array_equal(back.norm.x_std, np.ones(3))
+    assert np.array_equal(back.norm.y_mean, np.zeros(1))
+    stored = Checkpoint(model, make_stats(), ("a", "hour"), ("hour",), ("y",))
+    assert stored.norm is stored.stats
+    # the schema must expand to the model's inputs
+    save_checkpoint(p, Checkpoint(model, None, ("a", "b"), (), ("y",)))
+    with pytest.raises(DataError, match="expand to 2 inputs, the model takes 3"):
+        load_checkpoint(p)
+
+
 def test_malformed_files_are_rejected(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_text("not a checkpoint\n")

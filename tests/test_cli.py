@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
-from flowcde.checkpoint import Checkpoint, save_checkpoint
+from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
-from flowcde.data import load_csv, toy_true_log_density
+from flowcde.data import encode_cyclic_hour, load_csv, toy_true_log_density
 from flowcde.errors import ConfigError, NumericError
 from flowcde.heads import make_head
-from flowcde.training import CdeModel
+from flowcde.training import CdeModel, predictive_log_density
 
 
 def run(*args):
@@ -210,10 +210,6 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
     assert "Traceback" not in err
 
 
-# refused below the CLI, by messages that name the library's argument
-_CAUGHT_IN_LIBRARY_TERMS = {("heatmap", "x_points=0"), ("train", "sigma_q=0")}
-
-
 @pytest.mark.parametrize(
     "command,setting",
     [
@@ -245,8 +241,7 @@ def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, 
     assert run(command, *args, *setting.split(), f"out={tmp_path / 'x'}") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    if (command, setting) not in _CAUGHT_IN_LIBRARY_TERMS:
-        assert setting.split()[-1].partition("=")[0] in err
+    assert setting.split()[-1].partition("=")[0] in err
     assert not (tmp_path / "x" / "data.csv").exists()
 
 
@@ -344,8 +339,6 @@ def test_eval_refuses_zero_predictive_density(trained, tmp_path, capsys):
 
 
 def test_raw_units_shift_equals_jacobian(trained, tmp_path):
-    from flowcde.checkpoint import load_checkpoint
-
     outs = []
     for flag in ("true", "false"):
         out = tmp_path / f"ev_{flag}"
@@ -809,6 +802,80 @@ def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path):
         f"out={out}",
     ) == 4
     assert not (out / "heatmap.csv").exists()
+
+
+# -- cyclic hour-of-day features ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hourly(workdir):
+    """A run on y = sin(2 pi hour / 24) + x / 2 + noise, hour declared cyclic."""
+    rng = np.random.default_rng(6)
+    x, hour = rng.uniform(-2.0, 2.0, 300), rng.uniform(0.0, 24.0, 300)
+    y = np.sin(2.0 * math.pi * hour / 24.0) + 0.5 * x + 0.2 * rng.standard_normal(300)
+    data = workdir / "hourly.csv"
+    data.write_text("x,hour,y\n" + "".join(
+        f"{a!r},{h!r},{b!r}\n" for a, h, b in zip(x.tolist(), hour.tolist(), y.tolist())))
+    out = workdir / "hourly"
+    assert run("train", f"data={data}", "features=x,hour", "cyclic=hour", "targets=y",
+               "n_stages=2", "hidden=8", "iterations=150", "mc_train=5",
+               f"out={out}") == 0
+    return out
+
+
+def test_cyclic_hour_feature_end_to_end(hourly, tmp_path, capsys):
+    ckpt = hourly / "checkpoint.ckpt"
+    loaded = load_checkpoint(ckpt)
+    assert loaded.cyclic == ("hour",)
+    assert loaded.stats.feature_names == ("x", "hour_sin", "hour_cos")
+    assert run("eval", f"checkpoint={ckpt}", f"data={hourly / 'test.csv'}", "mc=5",
+               f"out={tmp_path / 'ev'}") == 0
+    pw = np.genfromtxt(tmp_path / "ev" / "pointwise.csv", delimiter=",", names=True)
+    assert pw.shape[0] == 30 and np.isfinite(pw["ll"]).all()
+    assert run("sample", f"checkpoint={ckpt}", "condition=0.5,7", "n=40", "mc=5",
+               f"out={tmp_path / 'smp'}") == 0
+    smp = np.genfromtxt(tmp_path / "smp" / "samples.csv", delimiter=",", names=True)
+    assert smp.shape[0] == 40 and np.isfinite(smp["y"]).all()
+    # sweep the numeric feature with the hour fixed, at two hours
+    rows = {}
+    for hour in (7, 19):
+        out = tmp_path / f"hm{hour}"
+        assert run("heatmap", f"checkpoint={ckpt}", f"condition=nan,{hour}", "x_points=5",
+                   "y_min=-6", "y_max=6", "y_points=161", "mc=5", f"out={out}") == 0
+        hm = np.genfromtxt(out / "heatmap.csv", delimiter=",", names=True)
+        dens = hm["density"].reshape(5, 161)
+        y_grid = hm["y"][:161]
+        np.testing.assert_allclose(np.trapezoid(dens, y_grid, axis=1), 1.0, atol=2e-2)
+        q = np.genfromtxt(out / "quantiles.csv", delimiter=",", names=True)
+        assert np.all(q["q025"] < q["median"]) and np.all(q["median"] < q["q975"])
+        rows[hour] = q["median"]
+    # sin(2 pi h / 24) is +0.97 at 7 h and -0.97 at 19 h
+    assert np.all(rows[7] - rows[19] > 1.0)
+    capsys.readouterr()
+    assert run("heatmap", f"checkpoint={ckpt}", "condition=0.5,nan",
+               f"out={tmp_path / 'hmh'}") == 2
+    assert "cyclic" in capsys.readouterr().err
+
+
+def test_statsless_checkpoint_reads_raw_units_with_cyclic_columns_expanded(hourly, tmp_path):
+    text = (hourly / "checkpoint.ckpt").read_text()
+    text = text.replace("stats.present = true", "stats.present = false")
+    lines = [line for line in text.splitlines()
+             if line == "stats.present = false" or not line.startswith("stats.")]
+    ckpt = tmp_path / "nostats.ckpt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    assert run("eval", f"checkpoint={ckpt}", f"data={hourly / 'test.csv'}", "mc=5",
+               "seed=3", f"out={tmp_path / 'ev'}") == 0
+    pw = np.genfromtxt(tmp_path / "ev" / "pointwise.csv", delimiter=",", names=True)
+    raw = np.genfromtxt(hourly / "test.csv", delimiter=",", names=True)
+    x = np.column_stack([raw["x"], *encode_cyclic_hour(raw["hour"])])
+    want = predictive_log_density(load_checkpoint(ckpt).model, x, raw["y"], 5,
+                                  np.random.default_rng(3))
+    np.testing.assert_array_equal(pw["ll"], want)
+    assert run("sample", f"checkpoint={ckpt}", "condition=0.5,7", "n=20", "mc=5",
+               f"out={tmp_path / 'smp'}") == 0
+    smp = np.genfromtxt(tmp_path / "smp" / "samples.csv", delimiter=",", names=True)
+    assert smp.shape[0] == 20 and np.isfinite(smp["y"]).all()
 
 
 # -- CSV format ---------------------------------------------------------------------

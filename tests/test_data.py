@@ -1,9 +1,11 @@
 """CSV ingestion, normalization conventions, splits, and toy generators."""
 
 import io
+import itertools
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from flowcde.data import (
     apply_stats,
     denormalize_targets,
     encode_cyclic_hour,
+    identity_stats,
     load_csv,
     load_split_indices,
     normalize,
+    normalize_features,
+    normalize_targets,
     save_csv,
     save_split_indices,
     split,
@@ -88,6 +93,58 @@ def test_cyclic_column_expands_and_is_never_zscored():
     assert np.allclose(norm.x[:, 0], s, atol=1e-15)  # untouched by z-scoring
     assert np.allclose(norm.x[:, 1], c, atol=1e-15)
     assert abs(norm.x[:, 2].mean()) < 1e-9 and abs(norm.x[:, 2].std() - 1) < 1e-9
+
+
+def hourly_dataset():
+    rng = np.random.default_rng(4)
+    x = np.column_stack([rng.normal(size=20), rng.uniform(0, 24, 20), rng.normal(size=20)])
+    return Dataset(x, rng.normal(size=20), feature_names=("a", "hour", "b"),
+                   kinds=("numeric", CYCLIC_HOUR, "numeric"))
+
+
+def test_feature_rows_map_like_a_dataset_and_nan_marks_only_its_columns():
+    ds = hourly_dataset()
+    norm, stats = normalize(ds)
+    rows = np.array([[0.3, 7.5, -1.2], [-2.0, 23.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(
+            normalize_features(stats, ds.x, ds.feature_names, ("hour",)), norm.x
+        )
+        full = normalize_features(stats, rows, ds.feature_names, ("hour",))
+        expanded_from = (0, 1, 1, 2)  # a, hour_sin, hour_cos, b
+        for row, want in zip(rows, full):
+            for mask in itertools.product((False, True), repeat=3):
+                raw = np.where(mask, np.nan, row)
+                got = normalize_features(stats, raw, ds.feature_names, ("hour",))[0]
+                missing = np.array([mask[j] for j in expanded_from])
+                assert np.isnan(got[missing]).all()
+                assert np.array_equal(got[~missing], want[~missing])
+    with pytest.raises(DataError, match="do not match"):
+        normalize_features(stats, rows, ds.feature_names, ())
+
+
+def test_identity_stats_only_expand_the_cyclic_columns():
+    ds = hourly_dataset()
+    stats = identity_stats(ds.feature_names, ("hour",), ("y",))
+    assert stats.feature_names == ("a", "hour_sin", "hour_cos", "b")
+    assert stats.log_jacobian == 0.0
+    mapped = apply_stats(stats, ds)
+    s, c = encode_cyclic_hour(ds.x[:, 1])
+    assert np.array_equal(mapped.x, np.column_stack([ds.x[:, 0], s, c, ds.x[:, 2]]))
+    assert np.array_equal(mapped.y, ds.y)
+    assert np.array_equal(denormalize_targets(stats, ds.y), ds.y)
+
+
+def test_target_maps_take_one_column_or_all():
+    ds = Dataset(np.arange(8.0)[:, None], np.column_stack([np.arange(8.0) ** 2, -np.arange(8.0)]),
+                 target_names=("u", "v"))
+    _, stats = normalize(ds)
+    both = normalize_targets(stats, ds.y)
+    for t in (0, 1):
+        assert np.array_equal(normalize_targets(stats, ds.y[:, t], t), both[:, t])
+        assert np.array_equal(denormalize_targets(stats, both[:, t], t),
+                              denormalize_targets(stats, both)[:, t])
 
 
 # -- normalization ----------------------------------------------------------------

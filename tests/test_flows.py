@@ -1,4 +1,4 @@
-"""Radial stage math, stack densities, closed-form inversion, and serialisation.
+"""Radial stage math, stack densities, and closed-form inversion.
 
 Reference log-density values were frozen from a 40-digit mpmath evaluation
 of the same closed forms; normalisation and sampling checks use trapezoid
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from flowcde.errors import StructuralError
 from flowcde.flows import (
-    FlowStack,
     constrain,
     log_density_batch,
     log_density_params,
@@ -29,21 +28,26 @@ from flowcde.tape import Tape, Var, grad_check
 finite_param = st.floats(-6.0, 6.0)
 
 
+def pack(alpha_hat, beta_hat, gamma, shift):
+    """One stack in the packed layout [ah_1, bh_1, g_1, ..., ah_K, bh_K, g_K, s]."""
+    return np.append(np.column_stack([alpha_hat, beta_hat, gamma]).ravel(), shift)
+
+
 def quadrature_mass(stack, half_width=30.0, n_points=200_001):
-    grid = np.linspace(stack.shift - half_width, stack.shift + half_width, n_points)
-    dens = np.exp(stack.log_density(grid))
+    grid = np.linspace(stack[-1] - half_width, stack[-1] + half_width, n_points)
+    dens = np.exp(log_density_batch(stack, grid))
     return np.trapezoid(dens, grid)
 
 
 def quadrature_cdf(stack, grid):
-    dens = np.exp(stack.log_density(grid))
+    dens = np.exp(log_density_batch(stack, grid))
     h = grid[1] - grid[0]
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * h)])
     return cum / cum[-1]
 
 
 def random_stack(rng, k):
-    return FlowStack(
+    return pack(
         alpha_hat=rng.normal(1.0, 1.0, size=k),
         beta_hat=rng.normal(0.0, 1.0, size=k),
         gamma=rng.normal(0.0, 1.0, size=k),
@@ -99,10 +103,9 @@ def test_identity_stack_is_shifted_normal():
     # beta_hat = 0 throughout: density is N(y - s | 0, 1)
     ld = log_density_params([-30.0, 0.0, 0.0, 2.0], 2.0)
     assert ld == pytest.approx(-0.9189385332046727, abs=1e-15)
-    stack = FlowStack([0.5], [0.0], [1.0], 2.0)
     grid = np.linspace(-3, 7, 101)
     want = -0.5 * (np.log(2 * np.pi) + (grid - 2.0) ** 2)
-    assert np.allclose(stack.log_density(grid), want, atol=1e-14)
+    assert np.allclose(log_density_batch([0.5, 0.0, 1.0, 2.0], grid), want, atol=1e-14)
 
 
 def test_batch_matches_scalar_path():
@@ -131,7 +134,7 @@ def test_bad_packed_widths_rejected():
     with pytest.raises(StructuralError):
         log_density_batch(np.zeros((3, 6)), 0.0)
     with pytest.raises(StructuralError):
-        FlowStack.from_vector(np.zeros(9))
+        sample(np.zeros(9), 1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -182,7 +185,7 @@ def test_invert_stage_extremes(bh):
 def test_sample_broadcasts_one_stack_per_draw():
     rng = np.random.default_rng(8)
     stacks = [random_stack(rng, 3) for _ in range(2)]
-    theta = np.stack([stacks[i % 2].to_vector() for i in range(6)])
+    theta = np.stack([stacks[i % 2] for i in range(6)])
     got = sample(theta, 6, np.random.default_rng(1))
     for i, stack in enumerate(stacks):
         want = sample(stack, 6, np.random.default_rng(1))
@@ -192,7 +195,7 @@ def test_sample_broadcasts_one_stack_per_draw():
 
 
 def test_sample_shapes_and_determinism():
-    stack = FlowStack([0.2, 1.1], [0.5, -0.4], [0.0, 0.7], 1.5)
+    stack = pack([0.2, 1.1], [0.5, -0.4], [0.0, 0.7], 1.5)
     a = sample(stack, 64, np.random.default_rng(11))
     b = sample(stack, 64, np.random.default_rng(11))
     assert a.shape == (64,)
@@ -205,7 +208,7 @@ def test_samples_match_density_by_ks():
     rng = np.random.default_rng(42)
     stack = random_stack(rng, 3)
     draws = np.sort(sample(stack, 20_000, rng))
-    grid = np.linspace(stack.shift - 30.0, stack.shift + 30.0, 200_001)
+    grid = np.linspace(stack[-1] - 30.0, stack[-1] + 30.0, 200_001)
     cdf = np.interp(draws, grid, quadrature_cdf(stack, grid))
     n = draws.size
     ecdf_hi = np.arange(1, n + 1) / n
@@ -216,59 +219,20 @@ def test_samples_match_density_by_ks():
 
 def test_identity_stack_samples_are_shifted_base():
     # beta = 0 stages leave the base draws untouched apart from the shift
-    stack = FlowStack([0.3, -1.0], [0.0, 0.0], [0.4, -0.2], 3.0)
+    stack = pack([0.3, -1.0], [0.0, 0.0], [0.4, -0.2], 3.0)
     rng = np.random.default_rng(5)
     got = sample(stack, 100, rng)
     want = np.random.default_rng(5).standard_normal(100) + 3.0
     assert np.allclose(got, want, atol=1e-11)
 
 
-def test_vector_and_line_round_trips():
-    rng = np.random.default_rng(9)
-    stack = random_stack(rng, 4)
-    again = FlowStack.from_vector(stack.to_vector())
-    assert np.array_equal(again.alpha_hat, stack.alpha_hat)
-    assert np.array_equal(again.beta_hat, stack.beta_hat)
-    assert np.array_equal(again.gamma, stack.gamma)
-    assert again.shift == stack.shift
-
-    from_text = FlowStack.from_line(stack.to_line())
-    assert np.array_equal(from_text.to_vector(), stack.to_vector())
-
-
-def test_line_parsing_rejects_garbage():
-    with pytest.raises(StructuralError):
-        FlowStack.from_line("")
-    with pytest.raises(StructuralError):
-        FlowStack.from_line("2 0.0 1.0 2.0")
-    with pytest.raises(StructuralError):
-        FlowStack.from_line("1 a b c d")
-
-
-def test_stack_validates_parameters():
-    with pytest.raises(StructuralError):
-        FlowStack([1.0], [0.0, 0.0], [0.0], 0.0)
-    with pytest.raises(StructuralError):
-        FlowStack([np.inf], [0.0], [0.0], 0.0)
-
-
 def test_zero_stage_stack_is_pure_shift():
-    stack = FlowStack(np.empty(0), np.empty(0), np.empty(0), 1.5)
-    assert stack.n_stages == 0
-    assert stack.to_vector().tolist() == [1.5]
-    assert stack.log_density(1.5) == pytest.approx(-0.9189385332046727, abs=1e-15)
+    stack = pack(np.empty(0), np.empty(0), np.empty(0), 1.5)
+    assert stack.tolist() == [1.5]
+    assert log_density_batch(stack, 1.5) == pytest.approx(-0.9189385332046727, abs=1e-15)
     draws = sample(stack, 50, np.random.default_rng(2))
     base = np.random.default_rng(2).standard_normal(50)
     assert np.array_equal(draws, base + 1.5)
-    again = FlowStack.from_line(stack.to_line())
-    assert again.n_stages == 0 and again.shift == 1.5
-
-
-def test_from_vector_with_declared_stage_count():
-    vec = np.zeros(7)
-    assert FlowStack.from_vector(vec, n_stages=2).n_stages == 2
-    with pytest.raises(StructuralError):
-        FlowStack.from_vector(vec, n_stages=1)
 
 
 def test_tape_stage_derivative_matches_log_grad():

@@ -57,7 +57,6 @@ def test_train_config_defaults():
     assert cfg.iterations == 5000
     assert cfg.batch_size is None
     assert cfg.mc_samples_train == 20
-    assert cfg.mc_samples_test == 20
 
 
 @pytest.mark.parametrize(
@@ -68,7 +67,7 @@ def test_train_config_defaults():
         {"adam_beta1": 1.0},
         {"adam_beta2": -0.1},
         {"mc_samples_train": 0},
-        {"mc_samples_test": 0},
+        {"adam_beta2": 1.0},
         {"iterations": -1},
         {"batch_size": 0},
     ],
