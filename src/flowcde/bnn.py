@@ -22,7 +22,10 @@ One forward pass serves evaluation and training: written with the generic
 math of :mod:`flowcde.tape`, it runs on posterior arrays (``forward_np``) or
 records itself on a tape from tape-leaf parameters (``forward_tape``).  Both
 take one standard-normal noise array of shape (mc, batch, units) per layer,
-so common-random-number comparisons between them are exact.
+so common-random-number comparisons between them are exact.  Training draws
+that noise per row.  Prediction shares one (mc, units) draw across rows: it
+passes a broadcast view of a (mc, 1, units) array, so each row's marginal is
+unchanged, and a one-row call keeps the digits of a per-row draw.
 """
 
 from __future__ import annotations

@@ -259,10 +259,10 @@ def _read_checkpoint(path):
         raise DataError(f"{path}: unknown checkpoint kind {kind!r}")
     r.finish()
     ckpt = Checkpoint(model, stats, features, cyclic, targets)
-    # stored stats are checked against the data's columns by apply_stats;
-    # identity stats come from the schema, so check it against the model here
+    # the stats (stored, or identity stats from the schema) map raw rows to
+    # the model's inputs, so their column count must be the model's
     expanded = len(ckpt.norm.feature_names)
-    if stats is None and features and expanded != model.n_features:
+    if features and expanded != model.n_features:
         raise DataError(
             f"{path}: schema.features {','.join(features)} expand to {expanded} "
             f"inputs, the model takes {model.n_features}"

@@ -68,6 +68,13 @@ def _parse_bool(s):
     raise ValueError("expected true or false")
 
 
+def _parse_grid_size(s):
+    n = int(s)
+    if n < 1:
+        raise ValueError("a grid needs at least 1 point")
+    return n
+
+
 def _parse_names(s):
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
@@ -152,13 +159,13 @@ SETTINGS = {
         "condition": (_parse_condition, "", "feature values; nan sweeps/marginalizes"),
         "x_min": (float, "-2.0", "swept-feature grid start (1D models)"),
         "x_max": (float, "2.0", "swept-feature grid end"),
-        "x_points": (int, "40", "swept-feature grid size"),
+        "x_points": (_parse_grid_size, "40", "swept-feature grid size"),
         "y_min": (float, "-3.0", "target grid start"),
         "y_max": (float, "3.0", "target grid end"),
-        "y_points": (int, "81", "target grid size"),
+        "y_points": (_parse_grid_size, "81", "target grid size"),
         "y2_min": (float, "-3.0", "second-target grid start (2D models)"),
         "y2_max": (float, "3.0", "second-target grid end"),
-        "y2_points": (int, "81", "second-target grid size"),
+        "y2_points": (_parse_grid_size, "81", "second-target grid size"),
         "marginal_samples": (int, "10", "draws for marginalized features (2D)"),
         "mc": (int, "20", "network draws to mix over"),
         "seed": (int, "0", "evaluation noise seed"),
@@ -179,10 +186,10 @@ SETTINGS = {
         "seeds": (_parse_ints, "0", "parameter-draw seeds to sweep"),
         "x_min": (float, "-2.0", "conditioning grid start"),
         "x_max": (float, "2.0", "conditioning grid end"),
-        "x_points": (int, "30", "conditioning grid size"),
+        "x_points": (_parse_grid_size, "30", "conditioning grid size"),
         "y_min": (float, "-4.0", "target grid start"),
         "y_max": (float, "4.0", "target grid end"),
-        "y_points": (int, "81", "target grid size"),
+        "y_points": (_parse_grid_size, "81", "target grid size"),
         "out": (str, "prior", "output directory (under FLOWCDE_OUT)"),
     },
     "grid-search": None,  # train keys plus grid.<key> lists; filled below
@@ -564,10 +571,6 @@ def _quantiles(grid, pdf):
 
 def _heatmap_1d(values, ckpt, out):
     stats = ckpt.norm
-    if values["x_points"] < 1:
-        raise ConfigError(
-            f"setting x_points={values['x_points']}: the swept feature needs at least 1 grid point"
-        )
     want_q = values["quantiles"]
     if want_q and values["y_points"] < 2:
         raise ConfigError(

@@ -17,11 +17,16 @@ noise array per layer.  The numpy twin free_energy_value consumes an rng
 identically, so recreating a generator from the same seed gives common
 random numbers for finite-difference checks.
 
-Prediction (predictive_log_density, predictive_curve) scores rows in blocks
-of at most BLOCK_DRAW_CELLS draws x target cells x head rows per datum.  Each
-block draws its own head noise, then activation noise, blocks in file order
-from the one rng: memory is bounded whatever the row count, and the constant
-is part of the noise convention.
+Prediction (predictive_log_density, predictive_curve) draws one activation
+noise array per layer of shape (mc, 1, units) once per call, and every row
+shares it: each row still sees i.i.d. standard-normal noise, so its
+predictive estimate has the distribution a per-row draw gives, and for heads
+without noise inputs a one-row call keeps the digits of a per-row draw; rows
+now share one Monte Carlo error.  Rows are then scored in blocks of at most BLOCK_DRAW_CELLS
+draws x target cells x head rows per datum, each block drawing its own head
+noise, blocks in file order.  The constant only bounds memory: outside the
+head noise, a row's value depends on its block only through the row count
+of a matrix product.
 """
 
 from __future__ import annotations
@@ -168,17 +173,22 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
-def _log_density_draws(model, x, y, mc, rng):
+def _log_density_draws(model, x, y, mc, rng, shared_eps=None):
     """(mc, B) log densities of targets y (B,), or (mc, B, G) of a grid
     y (B, G), under mc network draws at feature rows x (B, d).
 
     The rng draws the head's input augmentation, then one activation noise
-    array per layer, in the order free_energy draws them.
+    array per layer, in the order free_energy draws them.  With shared_eps,
+    a per-layer list of (mc, 1, units) draws, every row reads that noise
+    instead and the rng draws only the head's.
     """
     net, head = model.net, model.head
     rows, _ = head.prepare_inputs(x, rng)
-    omega = net.forward_np(rows, draw_eps(net.arch, rng, mc, rows.shape[0]))
-    return head.log_density_rows_np(omega, y, model.extras)
+    if shared_eps is None:
+        eps = draw_eps(net.arch, rng, mc, rows.shape[0])
+    else:
+        eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared_eps]
+    return head.log_density_rows_np(net.forward_np(rows, eps), y, model.extras)
 
 
 def free_energy_value(model, x, y, n_total, mc, rng):
@@ -258,8 +268,8 @@ def _predictive_blocks(model, x, y, mc, rng):
     targets y (B,) -> (B,) or of a grid y (B, G) -> (B, G), scored in row
     blocks of at most BLOCK_DRAW_CELLS draw x cells.
 
-    Each block is one _log_density_draws call, in file order on the one rng,
-    so a call that fits in one block is exactly that call.
+    The rng first draws the activation noise every row shares, then each
+    block's head noise in one _log_density_draws call, blocks in file order.
     """
     if mc < 1:
         raise StructuralError(f"mc must be >= 1, got {mc}")
@@ -269,8 +279,9 @@ def _predictive_blocks(model, x, y, mc, rng):
     if cells == 0:
         raise StructuralError("target grid must be non-empty")
     step = max(1, BLOCK_DRAW_CELLS // (mc * cells * model.head.rows_per_datum))
+    shared = draw_eps(model.net.arch, rng, mc, 1)
     return np.concatenate([
-        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng),
+        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared),
                   axis=0, mean=True)
         for i in range(0, x.shape[0], step)
     ])
@@ -278,7 +289,13 @@ def _predictive_blocks(model, x, y, mc, rng):
 
 def predictive_log_density(model, x, y, mc, rng):
     """Per-datum log posterior-predictive density, stably log-mean-exp'd
-    over mc local-reparameterization draws."""
+    over mc local-reparameterization draws.
+
+    One (mc, units) activation-noise draw per layer is made first and shared
+    by every row, so each row's estimate is distributed as under per-row
+    noise, and rows share one Monte Carlo error.  For heads without noise
+    inputs (nf, mdn, gauss) a one-row call keeps the digits of a per-row draw.
+    """
     x, y = _check_batch(x, y, np.asarray(y).size)
     return _predictive_blocks(model, x, y, mc, rng)
 

@@ -43,7 +43,7 @@ def make_stats():
 ])
 @pytest.mark.parametrize("mode", ["fixed", "learned"])
 def test_single_model_round_trip_is_exact(tmp_path, name, kw, mode):
-    model = build_model(name, mode=mode, **kw)
+    model = build_model(name, mode=mode, in_dim=3, **kw)  # the stats' 3 columns
     ckpt = Checkpoint(model, make_stats(), ("a", "hour"), ("hour",), ("y",))
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, ckpt)
@@ -115,6 +115,14 @@ def test_statsless_checkpoint_maps_through_identity_stats(tmp_path):
     # the schema must expand to the model's inputs
     save_checkpoint(p, Checkpoint(model, None, ("a", "b"), (), ("y",)))
     with pytest.raises(DataError, match="expand to 2 inputs, the model takes 3"):
+        load_checkpoint(p)
+
+
+def test_stored_stats_must_match_the_model_inputs(tmp_path):
+    model = build_model("nf", in_dim=2, n_stages=1)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, Checkpoint(model, make_stats(), ("a", "hour"), ("hour",), ("y",)))
+    with pytest.raises(DataError, match="expand to 3 inputs, the model takes 2"):
         load_checkpoint(p)
 
 

@@ -185,9 +185,15 @@ _DROP_STATS = {
         # no stats, and a schema of two features for a one-input network
         {**_DROP_STATS, "stats.present": lambda v: "false",
          "schema.features": lambda v: "x,y2"},
+        # stored stats and schema both gain a column the network does not take
+        {"schema.features": lambda v: v + ",z",
+         "stats.feature_names": lambda v: v + ",z",
+         "stats.kinds": lambda v: v + ",numeric",
+         "stats.x_mean": lambda v: v + " 0",
+         "stats.x_std": lambda v: v + " 1"},
     ],
     ids=["truncated", "non-numeric", "input-dim", "n-stages", "unknown-head",
-         "features-without-stats"],
+         "features-without-stats", "stats-with-an-extra-column"],
 )
 def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
     lines = (trained / "checkpoint.ckpt").read_text().splitlines()
@@ -216,7 +222,9 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("sample", "n=0"),
         ("eval", "mc=0"),
         ("heatmap", "x_points=0"),
+        ("heatmap", "x_points=-1"),
         ("heatmap", "y_points=0"),
+        ("heatmap", "quantiles=false y_points=-1"),
         # quantiles bisect an ascending target grid of at least two points
         ("heatmap", "y_min=3 y_max=-3"),
         ("heatmap", "y_min=1 y_max=1"),
@@ -226,16 +234,28 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("train", "sigma_q=0"),
         ("train", "batch_size=401"),  # the toy data has 400 rows
         ("gen-toy", "n=0"),
+        ("prior-sample", "x_points=-1"),
+        ("prior-sample", "y_points=0"),
+        # a 2-target checkpoint: its heatmap reads y_points and y2_points
+        ("heatmap-2d", "y_points=0"),
+        ("heatmap-2d", "y_points=-1"),
+        ("heatmap-2d", "y2_points=0"),
+        ("heatmap-2d", "y2_points=-1"),
     ],
 )
-def test_invalid_setting_value_exits_2(trained, toy, tmp_path, capsys, command, setting):
+def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, command,
+                                       setting):
     ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    if command == "heatmap-2d":
+        command = "heatmap"
+        ckpt = f"checkpoint={request.getfixturevalue('trained2') / 'checkpoint.ckpt'}"
     args = {
         "sample": [ckpt, "condition=0.5"],
         "eval": [ckpt, f"data={trained / 'test.csv'}"],
         "heatmap": [ckpt],
         "train": [f"data={toy / 'data.csv'}", "features=x", "targets=y", "iterations=1"],
         "gen-toy": [],
+        "prior-sample": [],
     }[command]
     capsys.readouterr()
     assert run(command, *args, *setting.split(), f"out={tmp_path / 'x'}") == 2

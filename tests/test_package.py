@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
+
+import pytest
 
 import flowcde
 
@@ -15,3 +18,10 @@ def test_every_name_in_each_all_exists():
     for module in modules:
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == flowcde.__version__

@@ -414,8 +414,10 @@ def test_predictive_curve_equals_one_target_vector_per_grid_value(name):
     mc = 5
     curve = predictive_curve(model, x, grid, mc, np.random.default_rng(2))
     rng = np.random.default_rng(2)
+    shared = draw_eps(model.net.arch, rng, mc, 1)  # one draw for every row, first
     rows, per = head.prepare_inputs(x, rng)
-    omega = model.net.forward_np(rows, draw_eps(model.net.arch, rng, mc, rows.shape[0]))
+    eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared]
+    omega = model.net.forward_np(rows, eps)
     want = np.column_stack([
         logsumexp(head.log_density_rows_np(omega, np.full(x.shape[0], g), model.extras),
                   axis=0, mean=True)
@@ -441,9 +443,15 @@ def _block_rows(head, mc, grid):
     return max(1, BLOCK_DRAW_CELLS // (mc * width * head.rows_per_datum))
 
 
+def _targets(y, grid, n):
+    return y if grid is None else np.broadcast_to(grid, (n, grid.size))
+
+
 @pytest.mark.parametrize("name", ["nf", "lv"])
 @pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
 def test_three_block_call_equals_three_one_block_calls(name, curve):
+    # the call draws the shared activation noise first, then each block's
+    # head noise: three blocks are three _log_density_draws calls on it
     head = make_head(name, n_stages=2, n_noise=4)
     model = build_model(head, mode="learned", seed=6)
     mc = 64
@@ -451,17 +459,20 @@ def test_three_block_call_equals_three_one_block_calls(name, curve):
     step = _block_rows(head, mc, grid)
     n = 2 * step + step // 2 + 1  # two full blocks and a partial one
     x, y = small_batch(n=n, seed=12)
+    targets = _targets(y, grid, n)
     whole = _predict(model, x, y, grid, mc, np.random.default_rng(4))
     rng = np.random.default_rng(4)
-    parts = [_predict(model, x[i : i + step], y[i : i + step], grid, mc, rng)
+    shared = draw_eps(model.net.arch, rng, mc, 1)
+    parts = [logsumexp(_log_density_draws(model, x[i : i + step], targets[i : i + step], mc,
+                                          rng, shared), axis=0, mean=True)
              for i in range(0, n, step)]
     assert len(parts) == 3
     assert np.array_equal(whole, np.concatenate(parts))
-    # the blocks draw their own noise: one whole-file draw gives other digits
-    targets = y if grid is None else np.broadcast_to(grid, (n, grid.size))
-    unblocked = logsumexp(_log_density_draws(model, x, targets, mc, np.random.default_rng(4)),
-                          axis=0, mean=True)
-    assert not np.array_equal(whole, unblocked)
+    # three calls draw their activation noise three times: other digits
+    rng = np.random.default_rng(4)
+    calls = [_predict(model, x[i : i + step], y[i : i + step], grid, mc, rng)
+             for i in range(0, n, step)]
+    assert not np.array_equal(whole, np.concatenate(calls))
 
 
 @pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
@@ -474,8 +485,27 @@ def test_one_block_call_is_one_log_mean_exp_of_the_draws(name, curve):
     n = _block_rows(head, mc, grid)  # exactly one full block
     x, y = small_batch(n=n, seed=13)
     got = _predict(model, x, y, grid, mc, np.random.default_rng(5))
-    targets = y if grid is None else np.broadcast_to(grid, (n, grid.size))
-    draws = _log_density_draws(model, x, targets, mc, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    shared = draw_eps(model.net.arch, rng, mc, 1)
+    draws = _log_density_draws(model, x, _targets(y, grid, n), mc, rng, shared)
+    assert np.array_equal(got, logsumexp(draws, axis=0, mean=True))
+    # rows share the draw: per-row noise gives other digits
+    per_row = _log_density_draws(model, x, _targets(y, grid, n), mc, np.random.default_rng(5))
+    assert not np.array_equal(got, logsumexp(per_row, axis=0, mean=True))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "gauss"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+def test_one_row_call_keeps_the_per_row_draw(name, curve):
+    # draw_eps(mc, 1) is the per-row draw of a one-row batch, so for heads
+    # without noise inputs a one-row call has the digits of per-row noise
+    head = make_head(name, n_stages=2, n_components=2)
+    model = build_model(head, mode="learned", seed=8)
+    mc = 20
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    x, y = small_batch(n=1, seed=14)
+    got = _predict(model, x, y, grid, mc, np.random.default_rng(6))
+    draws = _log_density_draws(model, x, _targets(y, grid, 1), mc, np.random.default_rng(6))
     assert np.array_equal(got, logsumexp(draws, axis=0, mean=True))
 
 
@@ -501,6 +531,34 @@ def test_noiseless_rows_score_as_if_alone(name, n, mc, width, seed):
     rng = np.random.default_rng(seed + 1)
     alone = np.concatenate([_predict(model, x[i : i + 1], y[i : i + 1], grid, mc, rng)
                             for i in range(n)])
+    np.testing.assert_allclose(whole, alone, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["nf", "mdn", "gauss"]),
+    mode=st.sampled_from(["fixed", "learned"]),
+    sigma_q=st.sampled_from([0.05, 0.35, 1.0]),
+    n=st.integers(24, 40),
+    mc=st.sampled_from([700, 1500]),
+    width=st.sampled_from([0, 4, 30]),  # 0 scores a target vector
+    seed=st.integers(0, 2**16),
+)
+def test_noisy_rows_score_as_if_alone(name, mode, sigma_q, n, mc, width, seed):
+    # every row reads the call's one activation-noise draw, so a row's value
+    # does not depend on its block or its neighbours: each row of a
+    # multi-block call equals a one-row call with the same seed.  Not bit for
+    # bit: a matrix product's last bits can change with its row count.
+    head = make_head(name, n_stages=2, n_components=2)
+    model = build_model(head, mode=mode, sigma_q=sigma_q, seed=seed % 7)
+    grid = np.linspace(-2.0, 2.0, width) if width else None
+    assert _block_rows(head, mc, grid) < n  # at least two blocks
+    x, y = small_batch(n=n, seed=seed)
+    whole = _predict(model, x, y, grid, mc, np.random.default_rng(seed))
+    alone = np.concatenate([
+        _predict(model, x[i : i + 1], y[i : i + 1], grid, mc, np.random.default_rng(seed))
+        for i in range(n)
+    ])
     np.testing.assert_allclose(whole, alone, rtol=1e-12, atol=1e-12)
 
 
