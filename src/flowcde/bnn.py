@@ -25,7 +25,10 @@ take one standard-normal noise array of shape (mc, batch, units) per layer,
 so common-random-number comparisons between them are exact.  Training draws
 that noise per row.  Prediction shares one (mc, units) draw across rows: it
 passes a broadcast view of a (mc, 1, units) array, so each row's marginal is
-unchanged, and a one-row call keeps the digits of a per-row draw.
+unchanged, and a one-row call keeps the digits of a per-row draw.  Layer
+0's input is the same for every draw, so its pre-activation mean and
+variance are computed once per row, as (batch, units) arrays, and reach
+(mc, batch, units) only when its noise is added.
 """
 
 from __future__ import annotations
@@ -349,26 +352,38 @@ class BayesianMLP:
 
     def _forward(self, x, eps, p):
         """The pass itself; ``p`` is a VariationalPosterior (arrays) or a
-        TapeParams (Vars), which share attribute names."""
+        TapeParams (Vars), which share attribute names.  Layer 0 works per
+        row (see the module docstring); a noiseless pass (sigma_q = 0) adds
+        no noise, so its (rows, out) result is copied once per draw at the end.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise StructuralError(f"x must be (batch, {self.arch.input_dim}), got {x.shape}")
         last = self.arch.n_layers - 1
-        mc = eps[0].shape[0]
-        h = np.broadcast_to(x, (mc,) + x.shape)
+        h = x
         for layer in range(self.arch.n_layers):
-            lam = self.prior.lambda_ if layer == last else 1.0
-            a = lam * (h @ p.w_means[layer]) + p.b_means[layer]
+            a = h @ p.w_means[layer]
             if p.w_logvars is not None:
-                var_pre = lam * lam * ((h * h) @ exp(p.w_logvars[layer])) + exp(p.b_logvars[layer])
+                spread = (h * h) @ exp(p.w_logvars[layer])
             elif p.sigma_q > 0.0:
-                sq = p.sigma_q**2
-                var_pre = sq * (lam * lam * (h * h).sum(axis=-1, keepdims=True) + 1.0)
+                spread = (h * h).sum(axis=-1, keepdims=True)
             else:
-                var_pre = None  # sigma_q = 0: noiseless, and no NaN from sqrt'(0) on a tape
-            if var_pre is not None:
+                spread = None  # sigma_q = 0: noiseless, and no NaN from sqrt'(0) on a tape
+            if layer == last:  # lambda scales the hidden-to-output weights only
+                lam = self.prior.lambda_
+                a = lam * a
+                if spread is not None:
+                    spread = lam * lam * spread
+            a = a + p.b_means[layer]
+            if spread is not None:
+                if p.w_logvars is not None:
+                    var_pre = spread + exp(p.b_logvars[layer])
+                else:
+                    var_pre = p.sigma_q**2 * (spread + 1.0)
                 a = a + eps[layer] * sqrt(var_pre)
             h = tanh(a) if layer != last else a
+        if spread is None:
+            h = h * np.ones((eps[0].shape[0], 1, 1))
         return h
 
 

@@ -325,7 +325,12 @@ def _load_data(values):
         with open(path) as fh:
             header = [h.strip() for h in fh.readline().split(",")]
         features = tuple(c for c in header if c and c not in targets)
-    ds = load_csv(path, features, targets, values["cyclic"])
+    return _read_csv(path, features, targets, values["cyclic"])
+
+
+def _read_csv(path, features, targets, cyclic):
+    """load_csv, warning on stderr about the rows it dropped."""
+    ds = load_csv(path, features, targets, cyclic)
     if ds.rejected_rows:
         print(
             f"warning: dropped unparsable rows {list(ds.rejected_rows)}",
@@ -465,7 +470,7 @@ def cmd_eval(values, raw, meta):
     if not Path(data).exists():
         raise DataError(f"data file not found: {data}")
     _check_data_hash(meta, data)
-    ds = load_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
+    ds = _read_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
     n = ll.size
     mean = float(ll.mean())

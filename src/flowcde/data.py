@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -218,16 +218,26 @@ def denormalize_targets(stats, y, column=slice(None)):
 
 # -- CSV ----------------------------------------------------------------------
 
+BLOCK_LINES = 4096  # lines per read or write, so a table's memory stays bounded
+
 
 def load_csv(path, features, targets, cyclic=()):
     """Read a numeric CSV with header; unparsable rows are dropped and their
-    1-based row numbers recorded in Dataset.rejected_rows."""
+    1-based row numbers recorded in Dataset.rejected_rows.
+
+    Lines are parsed BLOCK_LINES at a time into one array sized from a count
+    of the file's line endings, so the memory used beyond the result does not
+    grow with the row count.  A block that does not parse in bulk is read
+    again record by record, as csv reads it, to name its rejected rows.
+    """
     features = tuple(features)
     targets = tuple(targets)
     unknown_cyclic = [c for c in cyclic if c not in features]
     if unknown_cyclic:
         raise ConfigError(f"cyclic columns {unknown_cyclic} are not feature columns")
     with open(path, newline="") as fh:
+        capacity = _count_lines(fh)
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -238,21 +248,19 @@ def load_csv(path, features, targets, cyclic=()):
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")
         pos = [header.index(c) for c in features + targets]
-        rows, rejected = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
-                )
-            try:
-                rows.append([float(row[p]) for p in pos])
-            except ValueError:
-                rejected.append(lineno)
-    if not rows:
+        mat = np.empty((capacity, len(pos)))
+        n, rejected, lineno = 0, [], 2
+        while lines := list(islice(fh, BLOCK_LINES)):
+            block = _parse_block(lines, pos, len(header))
+            if block is None:
+                block, lineno = _walk_block(lines, fh, pos, len(header), path, lineno, rejected)
+            else:
+                lineno += len(lines)
+            mat[n : n + len(block)] = block
+            n += len(block)
+    if not n:
         raise DataError(f"{path}: no usable data rows (rejected: {rejected})")
-    mat = np.asarray(rows)
+    mat = mat[:n]
     return Dataset(
         x=mat[:, : len(features)],
         y=mat[:, len(features):],
@@ -263,6 +271,57 @@ def load_csv(path, features, targets, cyclic=()):
     )
 
 
+def _count_lines(fh):
+    """An upper bound on the records of a file opened with newline="": one
+    per line ending, plus an unterminated last line."""
+    n = 1
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        n += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+    return n
+
+
+def _parse_block(lines, pos, width):
+    """The cells at ``pos`` of a block of lines as a float array, blank lines
+    skipped; None when a line must be read on its own: it holds a quote or a
+    NUL, has other than ``width`` cells, or has a cell NumPy cannot parse."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return None
+    commas = set(map(str.count, lines, repeat(",")))
+    if not commas <= {0, width - 1}:
+        return None
+    if 0 in commas and width > 1 and any(s.strip("\r\n") for s in lines if "," not in s):
+        return None
+    if not text.strip("\r\n"):
+        return np.empty((0, len(pos)))
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, usecols=pos, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _walk_block(lines, fh, pos, width, path, lineno, rejected):
+    """Read a block record by record, as csv does: float() each used cell,
+    append the 1-based number of a row that fails to ``rejected``, raise on
+    a row with other than ``width`` cells.  A quoted record may run past the
+    block; its remaining lines are read from fh.  Returns the parsed rows and
+    the next row number."""
+    reader = csv.reader(chain(lines, fh))
+    rows = []
+    for row in reader:
+        if row:
+            if len(row) != width:
+                raise DataError(f"{path}: row {lineno} has {len(row)} cells, header has {width}")
+            try:
+                rows.append([float(row[p]) for p in pos])
+            except ValueError:
+                rejected.append(lineno)
+        lineno += 1
+        if reader.line_num >= len(lines):
+            break
+    return np.array(rows, dtype=float).reshape(-1, len(pos)), lineno
+
+
 def save_csv(path, ds):
     """Write features then targets, %.17g so a round trip is bit-exact."""
     with open(path, "w", newline="") as fh:
@@ -270,12 +329,11 @@ def save_csv(path, ds):
         write_table(fh, [*ds.x.T, *ds.y.T], newline="\r\n")
 
 
-BLOCK_LINES = 4096  # lines per write, so a table's memory stays bounded
-
-
 def _cells(column):
-    """%.17g cells of a NumPy column; the str of each item of any other."""
+    """%.17g cells of a float NumPy column; the str of each item of any other."""
     if isinstance(column, np.ndarray):
+        if column.dtype.kind != "f":
+            return list(map(str, column.tolist()))
         return list(map(format, column.tolist(), repeat(".17g")))
     return map(str, column)
 
@@ -290,8 +348,8 @@ def _write_lines(fh, cells, newline):
 def write_table(fh, columns, newline="\n"):
     """Stream equal-length columns to an open text file as CSV lines.
 
-    A NumPy column is written %.17g, so a round trip is bit-exact; any other
-    column (row numbers, option strings) is written with str.  Each write
+    A float NumPy column is written %.17g, so a round trip is bit-exact; any
+    other column (row numbers, indices, option strings) is written with str.  Each write
     carries BLOCK_LINES lines.
     """
     for start in range(0, len(columns[0]), BLOCK_LINES):
@@ -332,9 +390,7 @@ def save_split_indices(path, parts):
     train, valid, test = parts
     with open(path, "w") as fh:
         fh.write(f"# split sizes {len(train)} {len(valid)} {len(test)}\n")
-        for part in parts:
-            for i in part:
-                fh.write(f"{int(i)}\n")
+        write_table(fh, [np.concatenate(parts).astype(int)])
 
 
 def load_split_indices(path):

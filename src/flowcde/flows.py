@@ -69,9 +69,9 @@ def stage_apply(z, alpha_hat, beta_hat, gamma):
     """(f(z), log f'(z)) sharing the constrained parameters and radius."""
     alpha, beta = constrain(alpha_hat, beta_hat)
     d = z - gamma
-    denom = alpha + abs(d)
-    r = alpha / denom
-    return z + beta * r * d, log1p(beta * r * r)
+    r = alpha / (alpha + abs(d))
+    br = beta * r
+    return z + br * d, log1p(br * r)
 
 
 def log_density_params(params, y):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcde.bnn import (
     BayesianMLP,
@@ -219,6 +221,74 @@ def test_tape_forward_zero_variance():
     got = net.forward_tape(tape, tp, x, eps).value[0]
     want = mlp_forward(net.posterior.w_means, net.posterior.b_means, x, 1.3)
     assert np.allclose(got, want, rtol=1e-12)
+
+
+def per_draw_forward(net, x, eps):
+    """The pass with x broadcast to one copy per draw, so layer 0's mean and
+    variance are computed mc times, and lambda multiplied into every layer
+    (1.0 below the output): the reference forward_np must reproduce."""
+    post = net.posterior
+    last = net.arch.n_layers - 1
+    h = np.broadcast_to(x, (eps[0].shape[0],) + x.shape)
+    for layer in range(net.arch.n_layers):
+        lam = net.prior.lambda_ if layer == last else 1.0
+        a = lam * (h @ post.w_means[layer]) + post.b_means[layer]
+        if post.mode == "learned":
+            var = lam * lam * ((h * h) @ np.exp(post.w_logvars[layer])) + np.exp(
+                post.b_logvars[layer]
+            )
+            a = a + eps[layer] * np.sqrt(var)
+        elif post.sigma_q > 0.0:
+            var = post.sigma_q**2 * (lam * lam * (h * h).sum(axis=-1, keepdims=True) + 1.0)
+            a = a + eps[layer] * np.sqrt(var)
+        h = np.tanh(a) if layer != last else a
+    return h
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_in=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+    stages=st.integers(0, 2),
+    mode=st.sampled_from(["fixed", "learned"]),
+    sigma_q=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    lam=st.sampled_from([0.0, 0.6, 1.0, 1.7]),
+    mc=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+)
+def test_forward_equals_the_per_draw_pass(n_in, hidden, stages, mode, sigma_q, lam, mc, rows,
+                                          seed):
+    arch = MLPArchitecture(n_in, tuple(hidden), 3 * stages + 1)
+    sigma_q = sigma_q if mode == "fixed" else max(sigma_q, 0.05)
+    net = randomized(small_net(arch=arch, mode=mode, sigma_q=sigma_q, lambda_=lam), seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, n_in))
+    eps = draw_eps(arch, rng, mc, rows)
+    got = net.forward_np(x, eps)
+    want = per_draw_forward(net, x, eps)
+    assert got.shape == want.shape == (mc, rows, arch.output_dim)
+    if n_in == 1:
+        # one input: every layer-0 product is one multiplication either way
+        assert np.array_equal(got, want)
+    else:
+        # a matrix product's summation order may differ per row and per draw
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    tape = Tape()
+    assert np.array_equal(net.forward_tape(tape, TapeParams(tape, net.posterior), x, eps).value,
+                          got)
+
+
+def test_noiseless_forward_returns_one_equal_copy_per_draw():
+    arch = MLPArchitecture(2, (4, 3), 4)
+    net = randomized(small_net(arch=arch, sigma_q=0.0, lambda_=1.3))
+    x = np.random.default_rng(0).normal(size=(5, 2))
+    eps = draw_eps(arch, np.random.default_rng(1), 3, 5)
+    tape = Tape()
+    tp = TapeParams(tape, net.posterior)
+    for out in (net.forward_np(x, eps), net.forward_tape(tape, tp, x, eps).value):
+        assert out.shape == (3, 5, 4)
+        assert all(np.array_equal(out[m], out[0]) for m in range(3))
 
 
 def test_kl_zero_iff_posterior_equals_prior():

@@ -343,6 +343,22 @@ def test_eval_summary_and_sem(trained, tmp_path, capsys):
     )
 
 
+def test_eval_warns_about_the_rows_it_drops(trained, tmp_path, capsys):
+    data = tmp_path / "one-bad.csv"
+    rows = [f"{i * 0.1},{i * 0.05}" for i in range(6)]
+    rows[3] = "0.3,oops"
+    data.write_text("\n".join(["x,y", *rows]) + "\n")
+    out = tmp_path / "ev"
+    code = run("eval", f"checkpoint={trained / 'checkpoint.ckpt'}", f"data={data}",
+               "mc=5", f"out={out}")
+    assert code == 0
+    printed = capsys.readouterr()
+    assert "warning: dropped unparsable rows [5]" in printed.err
+    assert "(n=5)" in printed.out
+    pw = np.genfromtxt(out / "pointwise.csv", delimiter=",", names=True)
+    assert np.array_equal(pw["i"], np.arange(5))  # kept rows, not file rows
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_refuses_zero_predictive_density(trained, tmp_path, capsys):
     data = tmp_path / "far.csv"

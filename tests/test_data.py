@@ -1,10 +1,12 @@
 """CSV ingestion, normalization conventions, splits, and toy generators."""
 
+import csv
 import io
 import itertools
 import math
 import os
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcde import data
 from flowcde.data import (
+    BLOCK_LINES,
     CYCLIC_HOUR,
     CYCLIC_SIN,
     Dataset,
@@ -308,6 +312,128 @@ def test_csv_all_rows_rejected(tmp_path):
         load_csv(p, ("a",), ("y",))
 
 
+def old_load_csv(path, features, targets):
+    """The record-by-record reader load_csv replaced, kept as its oracle:
+    (used cells as a float matrix, rejected row numbers)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        pos = [header.index(c) for c in features + targets]
+        rows, rejected = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
+                )
+            try:
+                rows.append([float(row[p]) for p in pos])
+            except ValueError:
+                rejected.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, len(pos)), rejected
+
+
+# spellings float() takes and a C parser may not, spellings nobody takes, and
+# quoted cells, which csv reads by its own rules (a newline inside quotes
+# continues the record on the next line)
+CELL = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda v: format(v, ".17g")),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([
+        "inf", "-Infinity", " nan ", "-nan", "NaN", "+1", "1_0", "\t2.5\xa0", "\u0661\u0662",
+        "1e-400", "1e400", "-0.0", ".5", "1.",
+        "", " ", "x", "1e", "1__0", "0x10", "1.5 2", '"3"', '"4,5"', '"6\n7"', 'a"b',
+    ]),
+)
+
+
+@st.composite
+def csv_lines(draw):
+    """Data lines of a y,note,a file: mostly three cells, some blank, a few
+    ragged."""
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        else:
+            width = 3 if kind == "row" else draw(st.sampled_from([1, 2, 4]))
+            lines.append(",".join(draw(st.lists(CELL, min_size=width, max_size=width))))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=csv_lines(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last_newline=st.booleans(),
+    block=st.integers(1, 5),
+    # ("y",) twice: every used cell is in column 0, so a one-cell line
+    # parses as a row in bulk and only the cell count shows it is ragged
+    columns=st.sampled_from([(("a",), ("y",)), (("y",), ("y",)), (("note",), ("a",))]),
+)
+def test_load_csv_reads_as_the_record_loop_did(tmp_path_factory, lines, newline, last_newline,
+                                              block, columns):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    text = newline.join(["y,note,a"] + lines) + (newline if last_newline else "")
+    path.write_bytes(text.encode())
+    try:
+        want, rejected = old_load_csv(path, *columns)
+    except DataError as err:
+        want, rejected = err, None
+    with unittest.mock.patch.object(data, "BLOCK_LINES", block), warnings.catch_warnings():
+        warnings.simplefilter("error")  # an all-blank block must not reach loadtxt's warning
+        if rejected is None or not len(want):
+            with pytest.raises(DataError) as err:
+                load_csv(path, *columns)
+            if rejected is not None:
+                want = f"{path}: no usable data rows (rejected: {rejected})"
+            assert str(err.value) == str(want)
+            return
+        ds = load_csv(path, *columns)
+    got = np.column_stack([ds.x, ds.y])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert ds.rejected_rows == tuple(rejected)
+
+
+def test_csv_quoted_cell_keeps_its_comma_and_newline(tmp_path):
+    # each line looks like a well-formed row, but csv reads one record: 1,"u,2\n3,v",4
+    p = tmp_path / "d.csv"
+    p.write_text('y,note,a\n1,"u,2\n3,v",4\n5,w,6\n')
+    ds = load_csv(p, ("a",), ("y",))
+    assert np.array_equal(ds.x[:, 0], [4.0, 6.0])
+    assert np.array_equal(ds.y[:, 0], [1.0, 5.0])
+
+
+def test_csv_quoted_record_may_run_past_a_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "BLOCK_LINES", 2)
+    p = tmp_path / "d.csv"
+    p.write_text('a,y,note\n1,2,"x\ny"\n3,4,z\nfoo,5,w\n\n6,7,v\n')
+    ds = load_csv(p, ("a",), ("y",))
+    assert np.array_equal(ds.x[:, 0], [1.0, 3.0, 6.0])
+    assert ds.rejected_rows == (4,)  # a record, not a line: "x\ny" is one cell
+
+
+def test_csv_parses_in_bounded_memory(tmp_path):
+    # the record loop kept a list of Python floats per row
+    extra = []
+    rng = np.random.default_rng(0)
+    for n in (3 * BLOCK_LINES, 12 * BLOCK_LINES):
+        p = tmp_path / f"{n}.csv"
+        save_csv(p, Dataset(rng.standard_normal((n, 2)), rng.standard_normal(n)))
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, ("x0", "x1"), ("y",))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        extra.append(peak - kept)
+    assert extra[1] <= 1.25 * extra[0], extra
+
+
 def test_csv_cyclic_kind_marking(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("hour,y\n3,1\n9,2\n")
@@ -352,6 +478,18 @@ def test_split_indices_round_trip(tmp_path):
     save_split_indices(p, parts)
     back = load_split_indices(p)
     assert all(np.array_equal(a, b) for a, b in zip(parts, back))
+
+
+@pytest.mark.parametrize("sizes", [(BLOCK_LINES + 3, 2, 5), (6, 0, 2)])
+def test_split_indices_file_is_one_index_per_line(tmp_path, sizes):
+    perm = np.random.default_rng(1).permutation(sum(sizes))
+    parts = np.split(perm, np.cumsum(sizes)[:2])
+    p = tmp_path / "idx.txt"
+    save_split_indices(p, parts)
+    assert p.read_text() == f"# split sizes {sizes[0]} {sizes[1]} {sizes[2]}\n" + "".join(
+        f"{int(i)}\n" for part in parts for i in part
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(parts, load_split_indices(p)))
 
 
 def test_split_indices_reject_garbage(tmp_path):

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,18 @@ def test_pyproject_version_is_the_package_version():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == flowcde.__version__
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "flowcde"}
+    outside = []
+    for path in sorted(Path(flowcde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+    assert not outside
