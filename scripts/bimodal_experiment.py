@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
-from flowcde.data import apply_stats, normalize, toy_generator, toy_true_log_density
+from flowcde.data import (apply_stats, normalize, normalize_features, normalize_targets,
+                          toy_generator, toy_true_log_density, write_grid)
 from flowcde.heads import make_head
 from flowcde.training import (
     CdeModel,
@@ -86,16 +87,14 @@ def main():
     y_grid = np.linspace(
         float(test_ds.y.min()) - 0.3, float(test_ds.y.max()) + 0.3, 121
     )
-    xn = ((x_grid - stats.x_mean[0]) / stats.x_std[0])[:, None]
-    yn = (y_grid - stats.y_mean[0]) / stats.y_std[0]
+    xn = normalize_features(stats, x_grid[:, None], train_ds.feature_names)
+    yn = normalize_targets(stats, y_grid, 0)
     curves = predictive_curve(nf_model, xn, yn, args.mc_test, np.random.default_rng(2))
     dens = np.exp(curves) / stats.y_std[0]
     path = args.out / "nf_heatmap.csv"
     with open(path, "w") as fh:
         fh.write("x,y,density\n")
-        for a in range(x_grid.size):
-            for b in range(y_grid.size):
-                fh.write(f"{x_grid[a]:.6g},{y_grid[b]:.6g},{dens[a, b]:.6g}\n")
+        write_grid(fh, x_grid, y_grid, dens)
     print(f"flow-density heatmap written to {path}")
 
 

@@ -17,12 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from flowcde.bnn import (
-    MLPArchitecture,
-    mlp_forward,
-    sample_prior_cde,
-    sample_prior_parameters,
-)
+from flowcde.bnn import MLPArchitecture, prior_outputs, sample_prior_cde
+from flowcde.data import write_grid
 from flowcde.heads import make_head
 
 
@@ -49,21 +45,16 @@ def main():
             path = args.out / f"prior_lambda{lam:g}_beta{sb:g}.csv"
             with open(path, "w") as fh:
                 fh.write("x,y,density\n")
-                for a in range(x_grid.size):
-                    for b in range(y_grid.size):
-                        fh.write(
-                            f"{x_grid[a]:.6g},{y_grid[b]:.6g},{dens[a, b]:.6g}\n"
-                        )
+                write_grid(fh, x_grid, y_grid, dens)
     print(f"wrote {len(args.lambdas) * len(args.sigma_betas)} grids to {args.out}")
 
     # the same epsilon under a growing lambda: across-x spread of each output
     print("\nacross-x std of the flow parameter outputs (fixed draw):")
-    prior = head.default_prior(1.0, 1.0, 1.0)
-    ws, bs = sample_prior_parameters(arch, prior, head.group_map(), args.seed)
     header = "lambda " + " ".join(f"w{j:<7d}" for j in range(head.output_dim))
     print(header)
     for lam in args.lambdas:
-        omega = mlp_forward(ws, bs, x_grid[:, None], lam)
+        prior = head.default_prior(1.0, lam, 1.0)
+        omega = prior_outputs(arch, prior, head.group_map(), args.seed, x_grid[:, None])
         spread = omega.std(axis=0)
         print(f"{lam:<6g} " + " ".join(f"{s:8.4f}" for s in spread))
 

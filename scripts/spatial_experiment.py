@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from flowcde.autoreg import AutoregModel, density_grid, grid_mass, top_decile_coverage
+from flowcde.autoreg import density_grid, fit_chain, grid_mass, top_decile_coverage
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
-from flowcde.data import apply_stats, normalize, split, toy_generator
+from flowcde.data import (apply_stats, denormalize_targets, normalize, normalize_features,
+                          split, toy_generator, write_grid)
 from flowcde.heads import make_head
-from flowcde.training import CdeModel, TrainConfig, train
+from flowcde.training import CdeModel, TrainConfig
 
 
 def build_stage(n_inputs, seed, hidden):
@@ -48,25 +49,17 @@ def main():
     ntrain, stats = normalize(train_ds)
     ntest = apply_stats(stats, test_ds)
 
-    def cfg(seed):
-        return TrainConfig(
-            learning_rate=0.005,
-            iterations=args.iterations,
-            batch_size=128,
-            mc_samples_train=5,
-            seed=seed,
-        )
-
-    stage1 = build_stage(1, args.seed, (args.hidden,))
-    train(stage1, ntrain.x, ntrain.y[:, 0], cfg(args.seed))
-    stage2 = build_stage(2, args.seed + 1, (args.hidden,))
-    train(
-        stage2,
-        np.column_stack([ntrain.x, ntrain.y[:, 0]]),
-        ntrain.y[:, 1],
-        cfg(args.seed + 1),
+    cfg = TrainConfig(
+        learning_rate=0.005,
+        iterations=args.iterations,
+        batch_size=128,
+        mc_samples_train=5,
+        seed=args.seed,
     )
-    model = AutoregModel(stage1, stage2, (0, 1), ("y1", "y2"))
+    model, _ = fit_chain(
+        lambda n_inputs, seed: build_stage(n_inputs, seed, (args.hidden,)),
+        ntrain.x, ntrain.y, cfg, (0, 1), ("y1", "y2"),
+    )
     print(f"trained both stages in {time.perf_counter() - t0:.0f}s")
 
     g1 = np.linspace(-4.0, 4.0, 81)
@@ -74,10 +67,8 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
     covered = total = 0
     for x0 in args.slices:
-        xn = (x0 - stats.x_mean[0]) / stats.x_std[0]
-        dens = density_grid(
-            model, np.array([xn]), g1, g2, mc=10, rng=np.random.default_rng(7)
-        )
+        xn = normalize_features(stats, [x0], train_ds.feature_names)[0]
+        dens = density_grid(model, xn, g1, g2, mc=10, rng=np.random.default_rng(7))
         mass = grid_mass(dens, g1, g2)
         sel = np.abs(test_ds.x[:, 0] - x0) <= 0.05
         cov = top_decile_coverage(dens, g1, g2, ntest.y[sel])
@@ -90,12 +81,12 @@ def main():
         path = args.out / f"density_x{x0:g}.csv"
         with open(path, "w") as fh:
             fh.write("y1,y2,density\n")
-            for a in range(g1.size):
-                for b in range(g2.size):
-                    y1 = g1[a] * stats.y_std[0] + stats.y_mean[0]
-                    y2 = g2[b] * stats.y_std[1] + stats.y_mean[1]
-                    raw = dens[a, b] / (stats.y_std[0] * stats.y_std[1])
-                    fh.write(f"{y1:.6g},{y2:.6g},{raw:.6g}\n")
+            write_grid(
+                fh,
+                denormalize_targets(stats, g1, 0),
+                denormalize_targets(stats, g2, 1),
+                dens / (stats.y_std[0] * stats.y_std[1]),
+            )
     print(f"pooled top-decile coverage: {covered / total:.3f}")
     print(f"density grids written to {args.out}")
 

@@ -9,7 +9,7 @@ on an array-valued reverse-mode tape that records the same vectorised
 expressions the NumPy evaluation paths compute.
 """
 
-from .autoreg import AutoregModel, density_grid, joint_log_density
+from .autoreg import AutoregModel, density_grid, fit_chain, joint_log_density, sample_chain
 from .bnn import (
     BayesianMLP,
     GroupPrior,
@@ -62,6 +62,7 @@ __all__ = [
     "TrainConfig",
     "VariationalPosterior",
     "density_grid",
+    "fit_chain",
     "free_energy",
     "init_posterior",
     "joint_log_density",
@@ -72,6 +73,7 @@ __all__ = [
     "normalize",
     "predictive_curve",
     "predictive_log_density",
+    "sample_chain",
     "save_checkpoint",
     "split",
     "toy_generator",

@@ -1,10 +1,11 @@
-"""Two-dimensional conditional densities by the probability chain rule.
+"""Conditional densities by the probability chain rule.
 
 p(y_a, y_b | x) = p(y_a | x) * p(y_b | x, y_a): two independently trained
 1D models, the second seeing the first target as an extra (normalized)
 input column.  The chain ordering is part of the model: swapping the chain
 produces a genuinely different model, so every function here follows the
-model's own order.
+model's own order.  fit_chain, sample_chain and joint_log_density treat a
+one-target CdeModel as a chain of one stage.
 
 Grid evaluation marginalizes missing conditioning features by averaging the
 predictive density over standard-normal draws for them (features are
@@ -13,15 +14,18 @@ normalized, so their marginal is approximately unit normal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .errors import StructuralError
-from .training import predictive_curve, predictive_log_density
+from .training import model_sample, predictive_curve, predictive_log_density, train
 
 __all__ = [
     "AutoregModel",
+    "fit_chain",
+    "sample_chain",
     "joint_log_density",
     "density_grid",
     "grid_mass",
@@ -43,9 +47,7 @@ class AutoregModel:
     target_names: tuple = ("y1", "y2")
 
     def __post_init__(self):
-        self.order = tuple(int(i) for i in self.order)
-        if sorted(self.order) != [0, 1]:
-            raise StructuralError(f"order must be a permutation of (0, 1), got {self.order}")
+        self.order = _check_order(self.order)
         if len(self.target_names) != 2:
             raise StructuralError("need exactly two target names")
         if self.stage2_features != self.n_features + 1:
@@ -67,17 +69,67 @@ class AutoregModel:
         return tuple(self.target_names[i] for i in self.order)
 
 
+def _check_order(order):
+    order = tuple(int(i) for i in order)
+    if sorted(order) != [0, 1]:
+        raise StructuralError(f"order must be a permutation of (0, 1), got {order}")
+    return order
+
+
+def _stages(model):
+    """(stages, order): a CdeModel is the one-stage chain ((model,), (0,))."""
+    if isinstance(model, AutoregModel):
+        return (model.stage1, model.stage2), model.order
+    return (model,), (0,)
+
+
+def _stage_inputs(x, ys, k):
+    """Stage k's inputs: the features, then the first k targets in chain order."""
+    return np.column_stack([x, *ys[:k]]) if k else x
+
+
+def fit_chain(make_stage, x, y, cfg, order=(0, 1), target_names=("y1", "y2")):
+    """(model, one trace per stage) fitted to targets y (N, 1 or 2) in data
+    order: a CdeModel for one column, an AutoregModel in ``order`` for two.
+    Stage k is make_stage(n_inputs, cfg.seed + k), trained with that seed."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(x.shape[0], -1)
+    if y.shape[1] not in (1, 2):
+        raise StructuralError(f"a chain models 1 or 2 targets, got {y.shape[1]}")
+    order = (0,) if y.shape[1] == 1 else _check_order(order)
+    ys = [y[:, c] for c in order]
+    stages, traces = [], []
+    for k in range(len(order)):
+        stages.append(make_stage(x.shape[1] + k, cfg.seed + k))
+        cfg_k = replace(cfg, seed=cfg.seed + k)
+        traces.append(train(stages[k], _stage_inputs(x, ys, k), ys[k], cfg_k))
+    model = stages[0] if len(stages) == 1 else AutoregModel(*stages, order, target_names)
+    return model, traces
+
+
+def sample_chain(model, x_row, n, mc, rng):
+    """(n, targets) draws at one condition x_row (d,), columns in data order.
+    Stage 1 mixes mc network draws at x_row (see model_sample); stage k + 1
+    takes the (n, d + k) block of x_row and the earlier draws."""
+    stages, order = _stages(model)
+    x_row = np.asarray(x_row, dtype=float)
+    ys = []
+    for k, stage in enumerate(stages):
+        rows = _stage_inputs(np.broadcast_to(x_row, (n, x_row.size)), ys, k) if k else x_row
+        ys.append(model_sample(stage, rows, n, mc, rng))
+    return np.column_stack(ys)[:, np.argsort(order)]
+
+
 def joint_log_density(model, x, y, mc, rng):
-    """Per-datum log p(y | x); y has the two target columns in data order."""
+    """Per-datum log p(y | x); y has the target columns in data order."""
+    stages, order = _stages(model)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(-1, 2)
-    y_first = y[:, model.order[0]]
-    y_second = y[:, model.order[1]]
-    ll1 = predictive_log_density(model.stage1, x, y_first, mc, rng)
-    ll2 = predictive_log_density(
-        model.stage2, np.column_stack([x, y_first]), y_second, mc, rng
-    )
-    return ll1 + ll2
+    y = np.asarray(y, dtype=float).reshape(-1, len(order))
+    ys = [y[:, c] for c in order]
+    return reduce(np.add, (
+        predictive_log_density(stage, _stage_inputs(x, ys, k), ys[k], mc, rng)
+        for k, stage in enumerate(stages)
+    ))
 
 
 def density_grid(

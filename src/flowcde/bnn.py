@@ -52,8 +52,9 @@ __all__ = [
     "init_posterior",
     "nf_group_map",
     "nf_prior",
-    "mlp_forward",
+    "prior_mean_std_vectors",
     "sample_prior_parameters",
+    "prior_outputs",
     "sample_prior_cde",
 ]
 
@@ -251,6 +252,43 @@ def nf_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
     )
 
 
+def _check_groups(arch, prior, output_groups):
+    claimed = sorted(i for idx in output_groups.values() for i in idx)
+    if claimed != list(range(arch.output_dim)):
+        raise StructuralError(
+            "output groups must partition output indices "
+            f"0..{arch.output_dim - 1}, got {claimed}"
+        )
+    missing = [g for g in output_groups if g not in prior.groups]
+    if missing:
+        raise ConfigError(f"prior lacks output groups: {missing}")
+
+
+def prior_mean_std_vectors(arch, prior, output_groups):
+    """(mu_p, sigma_p) aligned with the canonical MEANS layout."""
+    out_w_std = np.empty(arch.output_dim)
+    out_b_mean = np.empty(arch.output_dim)
+    out_b_std = np.empty(arch.output_dim)
+    for name, idx in output_groups.items():
+        g = prior.groups[name]
+        for i in idx:
+            out_w_std[i] = g.std
+            out_b_mean[i] = g.mean
+            out_b_std[i] = g.std
+    mus, stds = [], []
+    last = arch.n_layers - 1
+    for layer, (ws, bs) in enumerate(arch.layer_shapes()):
+        if layer == last:
+            mus.append(np.zeros(ws).ravel())
+            stds.append(np.broadcast_to(out_w_std, ws).ravel())
+            mus.append(out_b_mean)
+            stds.append(out_b_std)
+        else:
+            mus.append(np.zeros(int(np.prod(ws)) + bs[0]))
+            stds.append(np.full(int(np.prod(ws)) + bs[0], prior.sigma_w))
+    return np.concatenate(mus), np.concatenate(stds)
+
+
 @dataclass
 class BayesianMLP:
     """Architecture + posterior + prior + output-group partition."""
@@ -263,42 +301,13 @@ class BayesianMLP:
     def __post_init__(self):
         if self.posterior.arch != self.arch:
             raise StructuralError("posterior was built for a different architecture")
-        claimed = sorted(i for idx in self.output_groups.values() for i in idx)
-        if claimed != list(range(self.arch.output_dim)):
-            raise StructuralError(
-                "output groups must partition output indices "
-                f"0..{self.arch.output_dim - 1}, got {claimed}"
-            )
-        missing = [g for g in self.output_groups if g not in self.prior.groups]
-        if missing:
-            raise ConfigError(f"prior lacks output groups: {missing}")
+        _check_groups(self.arch, self.prior, self.output_groups)
 
     # -- prior bookkeeping -------------------------------------------------
 
     def prior_mean_std_vectors(self):
         """(mu_p, sigma_p) aligned with the canonical MEANS layout."""
-        sw = self.prior.sigma_w
-        out_w_std = np.empty(self.arch.output_dim)
-        out_b_mean = np.empty(self.arch.output_dim)
-        out_b_std = np.empty(self.arch.output_dim)
-        for name, idx in self.output_groups.items():
-            g = self.prior.groups[name]
-            for i in idx:
-                out_w_std[i] = g.std
-                out_b_mean[i] = g.mean
-                out_b_std[i] = g.std
-        mus, stds = [], []
-        last = self.arch.n_layers - 1
-        for layer, (ws, bs) in enumerate(self.arch.layer_shapes()):
-            if layer == last:
-                mus.append(np.zeros(ws).ravel())
-                stds.append(np.broadcast_to(out_w_std, ws).ravel())
-                mus.append(out_b_mean)
-                stds.append(out_b_std)
-            else:
-                mus.append(np.zeros(int(np.prod(ws)) + bs[0]))
-                stds.append(np.full(int(np.prod(ws)) + bs[0], sw))
-        return np.concatenate(mus), np.concatenate(stds)
+        return prior_mean_std_vectors(self.arch, self.prior, self.output_groups)
 
     def _kl_terms(self):
         """(means, var_q, mu_p, var_p) over the canonical means layout."""
@@ -443,33 +452,24 @@ def init_posterior(arch, seed, sigma_init=1e-5, mode="fixed"):
     raise ConfigError(f"unknown posterior mode {mode!r}")
 
 
-def mlp_forward(weights, biases, x, lambda_=1.0):
-    """Plain deterministic MLP pass (tanh hidden, linear output, lambda on
-    the final weight matrix)."""
-    h = np.asarray(x, dtype=float)
-    last = len(weights) - 1
-    for layer, (w, b) in enumerate(zip(weights, biases)):
-        lam = lambda_ if layer == last else 1.0
-        a = lam * (h @ w) + b
-        h = np.tanh(a) if layer != last else a
-    return h
-
-
-def sample_prior_parameters(net_or_arch, prior, output_groups, seed):
+def sample_prior_parameters(arch, prior, output_groups, seed):
     """One network drawn from the prior: theta = mu_p + sigma_p * eps with a
     fixed-seed eps, so varying the prior with the same seed interpolates."""
-    arch = net_or_arch.arch if isinstance(net_or_arch, BayesianMLP) else net_or_arch
-    stub = BayesianMLP(
-        arch,
-        init_posterior(arch, 0, sigma_init=1.0),
-        prior,
-        output_groups,
-    )
-    mu_p, sd_p = stub.prior_mean_std_vectors()
+    _check_groups(arch, prior, output_groups)
+    mu_p, sd_p = prior_mean_std_vectors(arch, prior, output_groups)
     eps = np.random.default_rng(seed).standard_normal(mu_p.size)
     theta = mu_p + sd_p * eps
     split = split_flat(arch, theta, learned=False)
     return split["w_mean"], split["b_mean"]
+
+
+def prior_outputs(arch, prior, output_groups, seed, x):
+    """(rows, output_dim) outputs at feature rows x of the network
+    sample_prior_parameters draws, by the network's own pass at sigma_q = 0."""
+    ws, bs = sample_prior_parameters(arch, prior, output_groups, seed)
+    post = VariationalPosterior(arch, ws, bs, sigma_q=0.0)
+    net = BayesianMLP(arch, post, prior, output_groups)
+    return net.forward_np(x, [np.zeros((1, 1, u)) for u in arch.widths[1:]])[0]
 
 
 def sample_prior_cde(arch, prior, head, seed, x_grid, y_grid):
@@ -482,8 +482,7 @@ def sample_prior_cde(arch, prior, head, seed, x_grid, y_grid):
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
     if x_grid.size == 0 or y_grid.size == 0:
         raise StructuralError("grids must be non-empty")
-    ws, bs = sample_prior_parameters(arch, prior, head.group_map(), seed)
     xs = x_grid.reshape(-1, 1) if x_grid.ndim == 1 else x_grid
-    omega = mlp_forward(ws, bs, xs, prior.lambda_)
+    omega = prior_outputs(arch, prior, head.group_map(), seed, xs)
     y = np.broadcast_to(y_grid, (xs.shape[0], y_grid.size))
     return np.exp(head.log_density_rows_np(omega[None], y, head.init_extras())[0])

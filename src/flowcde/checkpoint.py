@@ -28,7 +28,7 @@ from .errors import DataError
 from .heads import make_head
 from .training import CdeModel
 
-__all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint"]
+__all__ = ["Checkpoint", "format_names", "save_checkpoint", "load_checkpoint"]
 
 _FORMAT = "flowcde-checkpoint-v1"
 
@@ -68,7 +68,9 @@ def _parse_array(s):
     return np.array([float(t) for t in s.split()]) if s else np.empty(0)
 
 
-def _fmt_names(names):
+def format_names(names):
+    """Column names as a checkpoint stores them; one it cannot store raises
+    DataError."""
     names = tuple(str(n) for n in names)
     for n in names:
         if "," in n or " " in n or "=" in n:
@@ -111,23 +113,23 @@ def save_checkpoint(path, ckpt):
     def put(key, value):
         lines.append(f"{key} = {value}")
 
-    put("schema.features", _fmt_names(ckpt.features))
-    put("schema.cyclic", _fmt_names(ckpt.cyclic))
-    put("schema.targets", _fmt_names(ckpt.targets))
+    put("schema.features", format_names(ckpt.features))
+    put("schema.cyclic", format_names(ckpt.cyclic))
+    put("schema.targets", format_names(ckpt.targets))
     if ckpt.stats is None:
         put("stats.present", "false")
     else:
         st = ckpt.stats
         put("stats.present", "true")
-        put("stats.feature_names", _fmt_names(st.feature_names))
-        put("stats.kinds", _fmt_names(st.kinds))
+        put("stats.feature_names", format_names(st.feature_names))
+        put("stats.kinds", format_names(st.kinds))
         put("stats.x_mean", _fmt_array(st.x_mean))
         put("stats.x_std", _fmt_array(st.x_std))
         put("stats.y_mean", _fmt_array(st.y_mean))
         put("stats.y_std", _fmt_array(st.y_std))
     if ckpt.kind == "autoreg":
         put("order", ",".join(str(i) for i in ckpt.model.order))
-        put("target_names", _fmt_names(ckpt.model.target_names))
+        put("target_names", format_names(ckpt.model.target_names))
         _write_model(put, "stage1.", ckpt.model.stage1)
         _write_model(put, "stage2.", ckpt.model.stage2)
     else:

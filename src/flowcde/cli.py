@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autoreg import AutoregModel, density_grid, joint_log_density
+from .autoreg import density_grid, fit_chain, joint_log_density, sample_chain
 from .bnn import BayesianMLP, MLPArchitecture, init_posterior, sample_prior_cde
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, format_names, load_checkpoint, save_checkpoint
 from .data import (
     apply_stats,
     denormalize_targets,
@@ -47,14 +47,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, FlowCdeError, NumericError, StructuralError
 from .heads import make_head
-from .training import (
-    CdeModel,
-    TrainConfig,
-    model_sample,
-    predictive_curve,
-    predictive_log_density,
-    train,
-)
+from .training import CdeModel, TrainConfig, predictive_curve, predictive_log_density
 
 __all__ = ["main"]
 
@@ -297,35 +290,26 @@ def _write_manifest(path, command, raw, data_path=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _check_data_hash(meta, data_path):
-    if "data_sha256" in meta:
-        actual = _sha256(data_path)
-        if actual != meta["data_sha256"]:
-            raise DataError(
-                f"{data_path}: sha256 {actual} does not match the manifest's "
-                f"{meta['data_sha256']}"
-            )
-
-
 def _require(values, key):
     if not values[key]:
         raise ConfigError(f"setting {key!r} is required")
     return values[key]
 
 
-def _load_data(values):
+def _data_file(values, meta):
+    """The required data file; it must exist and, when the manifest records
+    a sha256, match it."""
     path = _require(values, "data")
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise DataError(f"data file not found: {path}")
-    targets = values["targets"]
-    if len(targets) not in (1, 2):
-        raise ConfigError("targets must name 1 or 2 columns")
-    features = values["features"]
-    if not features:
-        with open(path) as fh:
-            header = [h.strip() for h in fh.readline().split(",")]
-        features = tuple(c for c in header if c and c not in targets)
-    return _read_csv(path, features, targets, values["cyclic"])
+    if "data_sha256" in meta:
+        actual = _sha256(path)
+        if actual != meta["data_sha256"]:
+            raise DataError(
+                f"{path}: sha256 {actual} does not match the manifest's "
+                f"{meta['data_sha256']}"
+            )
+    return path
 
 
 def _read_csv(path, features, targets, cyclic):
@@ -339,7 +323,7 @@ def _read_csv(path, features, targets, cyclic):
     return ds
 
 
-def _train_config(values, seed):
+def _train_config(values):
     return TrainConfig(
         learning_rate=values["learning_rate"],
         adam_beta1=values["beta1"],
@@ -348,7 +332,7 @@ def _train_config(values, seed):
         iterations=values["iterations"],
         batch_size=values["batch_size"] or None,
         mc_samples_train=values["mc_train"],
-        seed=seed,
+        seed=values["seed"],
     )
 
 
@@ -380,43 +364,30 @@ def _write_trace(path, traces):
         write_table(fh, [stages, [r.iteration for r in reports], *values.reshape(-1, 3).T])
 
 
-def _fit(values, out):
-    """Load, split, normalize, train; write artifacts; return fitted pieces."""
-    ds = _load_data(values)
+def _fit(values, meta):
+    """Load, split, normalize and train, then create the output directory and
+    write the artifacts into it; returns (out, checkpoint, valid, test).  A
+    run that fails before its artifacts are written leaves no file behind."""
+    data = _data_file(values, meta)
+    targets = values["targets"]
+    if len(targets) not in (1, 2):
+        raise ConfigError("targets must name 1 or 2 columns")
+    ds = _read_csv(data, values["features"], targets, values["cyclic"])
+    format_names(ds.feature_names + targets)  # names the checkpoint can store
     (train_ds, valid_ds, test_ds), parts = split(ds, values["split"], values["split_seed"])
     norm_train, stats = normalize(train_ds)
+    model, traces = fit_chain(
+        lambda n_inputs, seed: _build_model(values, n_inputs, seed),
+        norm_train.x, norm_train.y, _train_config(values), values["order"], targets,
+    )
+    out = _out_dir(values)
     save_split_indices(out / "split.txt", parts)
     save_csv(out / "valid.csv", valid_ds)
     save_csv(out / "test.csv", test_ds)
-
-    seed = values["seed"]
-    x = norm_train.x
-    if len(values["targets"]) == 1:
-        model = _build_model(values, x.shape[1], seed)
-        traces = [train(model, x, norm_train.y[:, 0], _train_config(values, seed))]
-        fitted = model
-    else:
-        order = values["order"]
-        if sorted(order) != [0, 1]:
-            raise ConfigError(f"order must be a permutation of 0,1, got {order}")
-        y_first = norm_train.y[:, order[0]]
-        y_second = norm_train.y[:, order[1]]
-        stage1 = _build_model(values, x.shape[1], seed)
-        stage2 = _build_model(values, x.shape[1] + 1, seed + 1)
-        traces = [
-            train(stage1, x, y_first, _train_config(values, seed)),
-            train(
-                stage2,
-                np.column_stack([x, y_first]),
-                y_second,
-                _train_config(values, seed + 1),
-            ),
-        ]
-        fitted = AutoregModel(stage1, stage2, order, values["targets"])
     _write_trace(out / "trace.csv", traces)
-    ckpt = Checkpoint(fitted, stats, ds.feature_names, values["cyclic"], values["targets"])
+    ckpt = Checkpoint(model, stats, ds.feature_names, values["cyclic"], targets)
     save_checkpoint(out / "checkpoint.ckpt", ckpt)
-    return ckpt, valid_ds, test_ds
+    return out, ckpt, valid_ds, test_ds
 
 
 def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
@@ -455,21 +426,15 @@ def _normalize_condition(ckpt, condition):
 
 
 def cmd_train(values, raw, meta):
-    data = _require(values, "data")
-    _check_data_hash(meta, data)
-    out = _out_dir(values)
-    ckpt, _, _ = _fit(values, out)
-    _write_manifest(out / "manifest.cfg", "train", raw, data)
+    out, _, _, _ = _fit(values, meta)
+    _write_manifest(out / "manifest.cfg", "train", raw, values["data"])
     print(f"wrote {out / 'checkpoint.ckpt'}, trace.csv, manifest.cfg")
     return 0
 
 
 def cmd_eval(values, raw, meta):
     ckpt = load_checkpoint(_require(values, "checkpoint"))
-    data = _require(values, "data")
-    if not Path(data).exists():
-        raise DataError(f"data file not found: {data}")
-    _check_data_hash(meta, data)
+    data = _data_file(values, meta)
     ds = _read_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
     n = ll.size
@@ -496,18 +461,8 @@ def cmd_sample(values, raw, meta):
     if np.isnan(x_row).any():
         raise ConfigError("sampling requires a fully specified condition")
     rng = np.random.default_rng(values["seed"])
-    n, mc = values["n"], values["mc"]
-    if ckpt.kind == "autoreg":
-        model = ckpt.model
-        first = model_sample(model.stage1, x_row, n, mc, rng)
-        rows = np.column_stack([np.broadcast_to(x_row, (n, x_row.size)), first])
-        second = model_sample(model.stage2, rows, n, mc, rng)
-        cols = np.empty((n, 2))
-        cols[:, model.order[0]] = first
-        cols[:, model.order[1]] = second
-    else:
-        cols = model_sample(ckpt.model, x_row, n, mc, rng)[:, None]
-    cols = denormalize_targets(ckpt.norm, cols)
+    n = values["n"]
+    cols = denormalize_targets(ckpt.norm, sample_chain(ckpt.model, x_row, n, values["mc"], rng))
     out = _out_dir(values)
     with open(out / "samples.csv", "w") as fh:
         fh.write(",".join(ckpt.targets) + "\n")
@@ -688,8 +643,7 @@ def cmd_prior_sample(values, raw, meta):
 
 
 def cmd_grid_search(values, raw, meta):
-    data = _require(values, "data")
-    _check_data_hash(meta, data)
+    data = _data_file(values, meta)
     grid_raw = values.pop("_grid_raw", {})
     if not grid_raw:
         raise ConfigError("grid-search needs at least one grid.<setting> list")
@@ -714,9 +668,8 @@ def cmd_grid_search(values, raw, meta):
         sub_values["out"] = str(Path(values["out"]) / f"combo_{idx:03d}")
         sub_raw["out"] = sub_values["out"]
         sub_raw = {k: v for k, v in sub_raw.items() if not k.startswith("grid.")}
-        combo_out = _out_dir(sub_values)
-        ckpt, valid_ds, test_ds = _fit(sub_values, combo_out)
-        _write_manifest(combo_out / "manifest.cfg", "train", sub_raw, data)
+        combo_out, ckpt, valid_ds, test_ds = _fit(sub_values, {})
+        _write_manifest(combo_out / "manifest.cfg", "train", sub_raw, sub_values["data"])
         valid_ll = float(
             _mean_ll(ckpt, valid_ds, values["mc_test"], values["seed"], True).mean()
         )

@@ -223,18 +223,15 @@ BLOCK_LINES = 4096  # lines per read or write, so a table's memory stays bounded
 
 def load_csv(path, features, targets, cyclic=()):
     """Read a numeric CSV with header; unparsable rows are dropped and their
-    1-based row numbers recorded in Dataset.rejected_rows.
+    1-based row numbers recorded in Dataset.rejected_rows.  Empty features
+    select every named non-target column of the header.
 
     Lines are parsed BLOCK_LINES at a time into one array sized from a count
     of the file's line endings, so the memory used beyond the result does not
     grow with the row count.  A block that does not parse in bulk is read
     again record by record, as csv reads it, to name its rejected rows.
     """
-    features = tuple(features)
     targets = tuple(targets)
-    unknown_cyclic = [c for c in cyclic if c not in features]
-    if unknown_cyclic:
-        raise ConfigError(f"cyclic columns {unknown_cyclic} are not feature columns")
     with open(path, newline="") as fh:
         capacity = _count_lines(fh)
         fh.seek(0)
@@ -244,6 +241,10 @@ def load_csv(path, features, targets, cyclic=()):
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        features = tuple(features) or tuple(c for c in header if c and c not in targets)
+        unknown_cyclic = [c for c in cyclic if c not in features]
+        if unknown_cyclic:
+            raise ConfigError(f"cyclic columns {unknown_cyclic} are not feature columns")
         missing = [c for c in features + targets if c not in header]
         if missing:
             raise DataError(f"{path}: missing column(s) {missing}")

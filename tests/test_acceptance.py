@@ -32,7 +32,6 @@ from flowcde.bnn import (
     MLPArchitecture,
     PriorConfig,
     init_posterior,
-    mlp_forward,
     sample_prior_cde,
     sample_prior_parameters,
 )
@@ -55,6 +54,7 @@ from flowcde.training import (
     predictive_log_density,
     train,
 )
+from mlp_reference import mlp_forward
 
 
 def report(num, ok, detail):

@@ -8,8 +8,10 @@ import pytest
 from flowcde.autoreg import (
     AutoregModel,
     density_grid,
+    fit_chain,
     grid_mass,
     joint_log_density,
+    sample_chain,
     top_decile_coverage,
 )
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
@@ -19,6 +21,7 @@ from flowcde.heads import LVHead, NFHead
 from flowcde.training import (
     CdeModel,
     TrainConfig,
+    model_sample,
     predictive_curve,
     predictive_log_density,
     train,
@@ -226,3 +229,72 @@ def test_factorized_truth_gives_matching_conditional_slices():
     true_p = np.exp(-0.5 * ((grid - 0.08) / 0.25) ** 2)
     mask = true_p > 0.2 * true_p.max()
     assert np.abs(lo[mask] - hi[mask]).mean() < 0.4
+
+
+# -- fit_chain and sample_chain ---------------------------------------------------
+
+
+def chain_data(n=60, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 1))
+    y = np.column_stack([x[:, 0] + 0.3 * rng.standard_normal(n), rng.standard_normal(n)])
+    return x, y
+
+
+CHAIN_CFG = TrainConfig(iterations=3, mc_samples_train=2, seed=5)
+
+
+def test_fit_chain_of_one_target_is_a_cde_model():
+    x, y = chain_data()
+    model, traces = fit_chain(lambda d, seed: nf_model(d, 1, seed=seed), x, y[:, :1], CHAIN_CFG,
+                              order=(7, 7))
+    assert isinstance(model, CdeModel) and len(traces) == 1 and len(traces[0]) == 3
+    want = nf_model(1, 1, seed=5)
+    assert train(want, x, y[:, 0], CHAIN_CFG) == traces[0]
+    assert np.array_equal(want.trainable_vector(), model.trainable_vector())
+
+
+def test_fit_chain_stage_k_uses_seed_plus_k_and_reads_targets_in_chain_order():
+    x, y = chain_data()
+    calls = []
+
+    def make_stage(n_inputs, seed):
+        calls.append((n_inputs, seed))
+        return nf_model(n_inputs, 1, seed=seed)
+
+    model, traces = fit_chain(make_stage, x, y, CHAIN_CFG, order=(1, 0), target_names=("a", "b"))
+    assert calls == [(1, 5), (2, 6)]
+    assert isinstance(model, AutoregModel)
+    assert model.order == (1, 0) and model.target_names == ("a", "b")
+    first, second = nf_model(1, 1, seed=5), nf_model(2, 1, seed=6)
+    assert train(first, x, y[:, 1], CHAIN_CFG) == traces[0]
+    cfg2 = TrainConfig(iterations=3, mc_samples_train=2, seed=6)
+    assert train(second, np.column_stack([x, y[:, 1]]), y[:, 0], cfg2) == traces[1]
+    assert np.array_equal(model.stage2.trainable_vector(), second.trainable_vector())
+
+
+@pytest.mark.parametrize("order", [(0, 0), (0, 2), (1,)])
+def test_fit_chain_refuses_a_bad_order_before_building_a_stage(order):
+    x, y = chain_data()
+    calls = []
+    with pytest.raises(StructuralError, match="order"):
+        fit_chain(lambda d, seed: calls.append(d), x, y, CHAIN_CFG, order=order)
+    assert calls == []
+
+
+def test_sample_chain_of_one_target_is_model_sample():
+    model = nf_model(2, 2, seed=1)
+    x_row = np.array([0.3, -1.2])
+    got = sample_chain(model, x_row, 40, 3, np.random.default_rng(9))
+    want = model_sample(model, x_row, 40, 3, np.random.default_rng(9))[:, None]
+    assert got.shape == (40, 1) and np.array_equal(got, want)
+
+
+def test_sample_chain_returns_columns_in_data_order():
+    model = autoreg(n_stages=1, sigma_q=0.3, zero=False, order=(1, 0))
+    x_row = np.array([0.4])
+    got = sample_chain(model, x_row, 30, 4, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    first = model_sample(model.stage1, x_row, 30, 4, rng)
+    second = model_sample(model.stage2, np.column_stack([np.full(30, 0.4), first]), 30, 4, rng)
+    assert np.array_equal(got, np.column_stack([second, first]))

@@ -14,15 +14,16 @@ from flowcde.bnn import (
     VariationalPosterior,
     draw_eps,
     init_posterior,
-    mlp_forward,
     nf_group_map,
     nf_prior,
+    prior_outputs,
     sample_prior_cde,
     sample_prior_parameters,
 )
 from flowcde.errors import ConfigError, NumericError, StructuralError
-from flowcde.heads import NFHead
+from flowcde.heads import NFHead, make_head
 from flowcde.tape import Tape
+from mlp_reference import mlp_forward
 
 
 def small_net(
@@ -416,6 +417,34 @@ def test_prior_cde_zero_beta_is_gaussian():
     for i in range(xg.size):
         want = np.exp(-0.5 * (np.log(2 * np.pi) + (yg - omega[i, 3]) ** 2))
         assert np.allclose(grid[i], want, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "gauss"])
+def test_prior_draw_runs_the_network_pass_bit_for_bit_like_the_reference(name):
+    rng = np.random.default_rng(17)
+    head = make_head(name, n_stages=2, n_components=3)
+    yg = np.linspace(-4.0, 4.0, 9)
+    for trial in range(20):
+        hidden = tuple(int(h) for h in rng.integers(1, 9, size=rng.integers(1, 4)))
+        arch = MLPArchitecture(int(rng.integers(1, 4)), hidden, head.output_dim)
+        prior = head.default_prior(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 5.0)),
+                                   float(rng.uniform(0.0, 2.0)))
+        x = rng.uniform(-3.0, 3.0, size=(6, arch.input_dim))
+        ws, bs = sample_prior_parameters(arch, prior, head.group_map(), trial)
+        want = mlp_forward(ws, bs, x, prior.lambda_)
+        assert np.array_equal(prior_outputs(arch, prior, head.group_map(), trial, x), want)
+        if arch.input_dim == 1:
+            dens = np.exp(head.log_density_rows_np(
+                want[None], np.broadcast_to(yg, (6, yg.size)), head.init_extras())[0])
+            assert np.array_equal(sample_prior_cde(arch, prior, head, trial, x[:, 0], yg), dens)
+
+
+def test_prior_vectors_need_a_partition_and_every_group_prior():
+    arch = MLPArchitecture(1, (2,), 4)
+    with pytest.raises(StructuralError, match="partition"):
+        sample_prior_parameters(arch, nf_prior(), {"shift": (3,)}, 0)
+    with pytest.raises(ConfigError, match="lacks"):
+        sample_prior_parameters(arch, PriorConfig(groups={}), nf_group_map(1), 0)
 
 
 def test_prior_cde_columns_normalized():

@@ -5,6 +5,7 @@ shared; every command is exercised through main() so the exit-code contract
 is what's under test.
 """
 
+import csv
 import math
 from pathlib import Path
 
@@ -14,10 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowcde.autoreg import joint_log_density, sample_chain
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
-from flowcde.data import encode_cyclic_hour, load_csv, toy_true_log_density
+from flowcde.data import (
+    apply_stats,
+    denormalize_targets,
+    encode_cyclic_hour,
+    load_csv,
+    normalize_features,
+    toy_true_log_density,
+)
 from flowcde.errors import ConfigError, NumericError
 from flowcde.heads import make_head
 from flowcde.training import CdeModel, predictive_log_density
@@ -155,6 +164,42 @@ def test_nan_gradient_exits_4_naming_the_iteration(toy, tmp_path, monkeypatch, c
     assert "iteration 0: non-finite gradient nan at coordinate 0" in printed.err
     assert "nan" not in printed.out
     assert not (out / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "grid-search"])
+def test_rerun_with_a_missing_data_file_exits_3(trained, tmp_path, capsys, command):
+    # a manifest pins the data file's sha256; the file must be found before
+    # it is hashed
+    first = {"train": ["--config", trained / "manifest.cfg"],
+             "eval": [f"checkpoint={trained / 'checkpoint.ckpt'}", "data_sha256=0000"],
+             "grid-search": ["grid.n_stages=1;2", "data_sha256=0000"]}[command]
+    out = tmp_path / "out"
+    assert run(command, *first, "data=nope.csv", f"out={out}") == 3
+    assert "data error: data file not found: nope.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _train_small(data, out, *settings):
+    return run("train", f"data={data}", "hidden=4", "iterations=2", "mc_train=2",
+               *settings, f"out={out}")
+
+
+@pytest.mark.parametrize("header, settings, code, message", [
+    ("a b,y", ["features=a b"], 3, "column name 'a b' cannot contain"),
+    ('"a,b",y', [], 3, "column name 'a,b' cannot contain"),
+    ("x,y1,y2", ["targets=y1,y2", "order=0,0"], 2, "order must be a permutation"),
+], ids=["space-in-a-feature", "comma-in-a-default-feature", "repeated-order"])
+def test_train_refuses_before_writing_any_file(tmp_path, capsys, header, settings, code,
+                                                message):
+    rng = np.random.default_rng(0)
+    width = len(next(csv.reader([header])))
+    rows = [",".join(repr(v) for v in r) for r in rng.standard_normal((30, width)).tolist()]
+    data = tmp_path / "d.csv"
+    data.write_text(header + "\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert _train_small(data, out, *settings) == code
+    assert message in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_data_hash_mismatch_exits_3(toy, tmp_path):
@@ -838,6 +883,44 @@ def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path):
         f"out={out}",
     ) == 4
     assert not (out / "heatmap.csv").exists()
+
+
+def test_swapped_chain_train_sample_eval_heatmap(tmp_path):
+    assert run("gen-toy", "name=spatial-two-cluster", "n=300", "seed=3",
+               f"out={tmp_path / 'toy'}") == 0
+    out = tmp_path / "chain"
+    assert run("train", f"data={tmp_path / 'toy' / 'data.csv'}", "targets=y1,y2", "order=1,0",
+               "n_stages=1", "hidden=6", "iterations=20", "mc_train=2", f"out={out}") == 0
+    ckpt = load_checkpoint(out / "checkpoint.ckpt")
+    assert ckpt.model.order == (1, 0)
+    trace = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
+    assert trace["stage"].tolist() == [1] * 20 + [2] * 20
+
+    sout = tmp_path / "smp"
+    assert run("sample", f"checkpoint={out / 'checkpoint.ckpt'}", "condition=0.5", "n=40",
+               "mc=3", "seed=4", f"out={sout}") == 0
+    lines = (sout / "samples.csv").read_text().splitlines()
+    assert lines[0] == "y1,y2"
+    row = normalize_features(ckpt.norm, [0.5], ckpt.features)[0]
+    want = denormalize_targets(
+        ckpt.norm, sample_chain(ckpt.model, row, 40, 3, np.random.default_rng(4)))
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(got, want)
+
+    eout = tmp_path / "ev"
+    assert run("eval", f"checkpoint={out / 'checkpoint.ckpt'}", f"data={out / 'test.csv'}",
+               "mc=3", "raw_units=false", f"out={eout}") == 0
+    test_ds = apply_stats(ckpt.norm, load_csv(out / "test.csv", ("x",), ("y1", "y2")))
+    want = joint_log_density(ckpt.model, test_ds.x, test_ds.y, 3, np.random.default_rng(0))
+    pw = np.genfromtxt(eout / "pointwise.csv", delimiter=",", names=True)
+    assert np.array_equal(pw["ll"], want)
+
+    hout = tmp_path / "hm"
+    assert run("heatmap", f"checkpoint={out / 'checkpoint.ckpt'}", "condition=0.5",
+               "y_points=5", "y2_points=7", "mc=3", "marginal_samples=1",
+               f"out={hout}") == 0
+    lines = (hout / "heatmap.csv").read_text().splitlines()
+    assert lines[0] == "y2,y1,density" and len(lines) == 1 + 5 * 7
 
 
 # -- cyclic hour-of-day features ----------------------------------------------------

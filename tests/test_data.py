@@ -434,6 +434,16 @@ def test_csv_parses_in_bounded_memory(tmp_path):
     assert extra[1] <= 1.25 * extra[0], extra
 
 
+def test_csv_default_features_come_from_the_parsed_header(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text('"a,b", c ,,y\n1,2,3,4\n5,6,7,8\n')
+    ds = load_csv(p, (), ("y",))
+    assert ds.feature_names == ("a,b", "c")
+    assert ds.x.tolist() == [[1.0, 2.0], [5.0, 6.0]] and ds.y[:, 0].tolist() == [4.0, 8.0]
+    with pytest.raises(ConfigError, match="hour"):
+        load_csv(p, (), ("y",), cyclic=("hour",))
+
+
 def test_csv_cyclic_kind_marking(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("hour,y\n3,1\n9,2\n")
