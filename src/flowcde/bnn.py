@@ -11,6 +11,11 @@ element-wise rather than sampling weights.  Posterior variances are either
 tied and fixed (one shared sigma_q, not trained) or trained per parameter
 through an unconstrained log-variance.
 
+The posterior is stored once, as the flat vector in canonical layout (every
+mean layer by layer, W then b, then the log-variances when learned) that
+Adam, the KL, its gradient and the prior vectors all read.  Its per-layer
+weight and bias arrays are views of that vector.
+
 Hidden-to-output weight means and variances are scaled by lambda and
 lambda^2 at forward time only; priors, posteriors, and the KL term always
 see the unscaled weights, so lambda trades functional variability against
@@ -90,101 +95,76 @@ class MLPArchitecture:
 
 def _layout(arch, learned):
     """Canonical flat packing: all means layer by layer (W then b), then all
-    log-variances in the same order when learned."""
+    log-variances in the same order when learned.  Each chunk is named by
+    the VariationalPosterior attribute that views it."""
     chunks = []
     for layer, (ws, bs) in enumerate(arch.layer_shapes()):
-        chunks.append(("w_mean", layer, ws))
-        chunks.append(("b_mean", layer, bs))
+        chunks.append(("w_means", layer, ws))
+        chunks.append(("b_means", layer, bs))
     if learned:
         for layer, (ws, bs) in enumerate(arch.layer_shapes()):
-            chunks.append(("w_lv", layer, ws))
-            chunks.append(("b_lv", layer, bs))
+            chunks.append(("w_logvars", layer, ws))
+            chunks.append(("b_logvars", layer, bs))
     return chunks
 
 
 @dataclass
 class VariationalPosterior:
-    """Per-parameter Gaussian posterior q(theta).
+    """Per-parameter Gaussian posterior q(theta), stored as one flat vector
+    in canonical layout: the form Adam, the KL and the prior work on.
 
-    Fixed mode: sigma_q set, log-variance lists None; every variance equals
-    sigma_q**2 and only the means train.  sigma_q = 0 is allowed and makes
-    forward passes deterministic (handy for oracle checks), though the KL is
-    undefined there.  Learned mode: per-parameter log-variances train
-    alongside the means.
+    ``w_means``, ``b_means``, ``w_logvars`` and ``b_logvars`` are per-layer
+    views of ``vector``, cut once at construction, so writing through a view
+    writes the vector.  Fixed mode: sigma_q set, the vector holds the means
+    only, every variance equals sigma_q**2 and the log-variance views are
+    None.  sigma_q = 0 is allowed and makes forward passes deterministic
+    (handy for oracle checks), though the KL is undefined there.  Learned
+    mode (sigma_q None): per-parameter log-variances follow the means in the
+    vector and train alongside them.
     """
 
     arch: MLPArchitecture
-    w_means: list
-    b_means: list
+    vector: np.ndarray
     sigma_q: float | None = None
-    w_logvars: list | None = None
-    b_logvars: list | None = None
 
     def __post_init__(self):
-        learned = self.w_logvars is not None
-        if learned != (self.b_logvars is not None) or learned == (self.sigma_q is not None):
-            raise StructuralError("set exactly one of sigma_q or log-variance lists")
         if self.sigma_q is not None and self.sigma_q < 0:
             raise StructuralError("sigma_q must be >= 0")
-        for layer, (ws, bs) in enumerate(self.arch.layer_shapes()):
-            if self.w_means[layer].shape != ws or self.b_means[layer].shape != bs:
-                raise StructuralError(f"posterior mean shapes wrong at layer {layer}")
-            if learned and (
-                self.w_logvars[layer].shape != ws or self.b_logvars[layer].shape != bs
-            ):
-                raise StructuralError(f"posterior log-variance shapes wrong at layer {layer}")
+        self.vector = np.asarray(self.vector, dtype=float)
+        views = split_flat(self.arch, self.vector, self.sigma_q is None)
+        self.w_means, self.b_means = views["w_means"], views["b_means"]
+        self.w_logvars, self.b_logvars = views.get("w_logvars"), views.get("b_logvars")
 
     @property
     def mode(self):
         return "fixed" if self.sigma_q is not None else "learned"
 
-    def _chunk_array(self, kind, layer):
-        return {
-            "w_mean": self.w_means,
-            "b_mean": self.b_means,
-            "w_lv": self.w_logvars,
-            "b_lv": self.b_logvars,
-        }[kind][layer]
-
     def to_vector(self):
-        """Flat trainable parameters in canonical layout."""
-        parts = [
-            self._chunk_array(kind, layer).ravel()
-            for kind, layer, _ in _layout(self.arch, self.mode == "learned")
-        ]
-        return np.concatenate(parts)
+        """Flat trainable parameters in canonical layout (the stored array)."""
+        return self.vector
 
     def replace_from_vector(self, vec):
         """New posterior with trainable parameters taken from a flat vector."""
-        vec = np.asarray(vec, dtype=float)
-        split = split_flat(self.arch, vec, self.mode == "learned")
-        if self.mode == "learned":
-            return replace(
-                self,
-                w_means=split["w_mean"],
-                b_means=split["b_mean"],
-                w_logvars=split["w_lv"],
-                b_logvars=split["b_lv"],
-            )
-        return replace(self, w_means=split["w_mean"], b_means=split["b_mean"])
+        return replace(self, vector=vec)
 
     @property
     def n_trainable(self):
-        n = sum(w.size + b.size for w, b in zip(self.w_means, self.b_means))
-        return 2 * n if self.mode == "learned" else n
+        return self.vector.size
 
 
 def split_flat(arch, flat, learned):
-    """Cut a flat canonical-layout array into shaped chunks by kind."""
-    flat = np.asarray(flat)
-    out = {"w_mean": [], "b_mean": [], "w_lv": [], "b_lv": []}
+    """Cut a flat canonical-layout vector into shaped views, a list per
+    chunk name; a vector of any other size raises StructuralError."""
+    layout = _layout(arch, learned)
+    need = sum(math.prod(shape) for _, _, shape in layout)
+    if flat.ndim != 1 or flat.size != need:
+        raise StructuralError(f"flat vector has shape {flat.shape}, layout needs ({need},)")
+    out = {}
     pos = 0
-    for kind, _layer, shape in _layout(arch, learned):
-        size = int(np.prod(shape))
-        out[kind].append(flat[pos : pos + size].reshape(shape))
+    for kind, _layer, shape in layout:
+        size = math.prod(shape)
+        out.setdefault(kind, []).append(flat[pos : pos + size].reshape(shape))
         pos += size
-    if pos != flat.size:
-        raise StructuralError(f"flat vector has {flat.size} entries, layout needs {pos}")
     return out
 
 
@@ -315,14 +295,13 @@ class BayesianMLP:
         if (sd_p <= 0).any():
             raise NumericError("KL undefined: prior has a zero/negative std")
         post = self.posterior
-        vec = post.to_vector()
-        means = vec[: mu_p.size]
+        means = post.vector[: mu_p.size]
         if post.mode == "fixed":
             if post.sigma_q <= 0:
                 raise NumericError("KL undefined: posterior sigma_q is zero")
             var_q = np.full(means.shape, post.sigma_q**2)
         else:
-            var_q = np.exp(vec[mu_p.size :])
+            var_q = np.exp(post.vector[mu_p.size :])
         return means, var_q, mu_p, sd_p**2
 
     def kl_to_prior(self):
@@ -407,17 +386,14 @@ class TapeParams:
     """
 
     def __init__(self, tape, posterior):
-        learned = posterior.mode == "learned"
-        chunks = {"w_mean": [], "b_mean": [], "w_lv": [], "b_lv": []}
+        chunks = {}
         self.leaves = []
-        for kind, layer, _shape in _layout(posterior.arch, learned):
-            leaf = Var(tape, tape.leaf(posterior._chunk_array(kind, layer)))
-            chunks[kind].append(leaf)
+        for kind, layer, _shape in _layout(posterior.arch, posterior.mode == "learned"):
+            leaf = Var(tape, tape.leaf(getattr(posterior, kind)[layer]))
+            chunks.setdefault(kind, []).append(leaf)
             self.leaves.append(leaf)
-        self.w_means = chunks["w_mean"]
-        self.b_means = chunks["b_mean"]
-        self.w_logvars = chunks["w_lv"] if learned else None
-        self.b_logvars = chunks["b_lv"] if learned else None
+        self.w_means, self.b_means = chunks["w_means"], chunks["b_means"]
+        self.w_logvars, self.b_logvars = chunks.get("w_logvars"), chunks.get("b_logvars")
         self.sigma_q = posterior.sigma_q
 
 
@@ -432,42 +408,34 @@ def init_posterior(arch, seed, sigma_init=1e-5, mode="fixed"):
     """Xavier-uniform weight means, zero bias means, variances sigma_init^2."""
     if sigma_init <= 0:
         raise StructuralError("sigma_init must be > 0")
+    if mode not in ("fixed", "learned"):
+        raise ConfigError(f"unknown posterior mode {mode!r}")
     rng = np.random.default_rng(seed)
-    w_means, b_means = [], []
+    means = []
     for (fan_in, fan_out), _ in arch.layer_shapes():
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        w_means.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        b_means.append(np.zeros(fan_out))
+        means += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
+    means = np.concatenate(means)
     if mode == "fixed":
-        return VariationalPosterior(arch, w_means, b_means, sigma_q=float(sigma_init))
-    if mode == "learned":
-        lv = 2.0 * math.log(sigma_init)
-        return VariationalPosterior(
-            arch,
-            w_means,
-            b_means,
-            w_logvars=[np.full(w.shape, lv) for w in w_means],
-            b_logvars=[np.full(b.shape, lv) for b in b_means],
-        )
-    raise ConfigError(f"unknown posterior mode {mode!r}")
+        return VariationalPosterior(arch, means, sigma_q=float(sigma_init))
+    logvars = np.full(means.size, 2.0 * math.log(sigma_init))
+    return VariationalPosterior(arch, np.concatenate([means, logvars]))
 
 
 def sample_prior_parameters(arch, prior, output_groups, seed):
-    """One network drawn from the prior: theta = mu_p + sigma_p * eps with a
-    fixed-seed eps, so varying the prior with the same seed interpolates."""
+    """One network drawn from the prior, as the sigma_q = 0 posterior of its
+    flat theta = mu_p + sigma_p * eps.  eps has a fixed seed, so varying the
+    prior with the same seed interpolates."""
     _check_groups(arch, prior, output_groups)
     mu_p, sd_p = prior_mean_std_vectors(arch, prior, output_groups)
     eps = np.random.default_rng(seed).standard_normal(mu_p.size)
-    theta = mu_p + sd_p * eps
-    split = split_flat(arch, theta, learned=False)
-    return split["w_mean"], split["b_mean"]
+    return VariationalPosterior(arch, mu_p + sd_p * eps, sigma_q=0.0)
 
 
 def prior_outputs(arch, prior, output_groups, seed, x):
     """(rows, output_dim) outputs at feature rows x of the network
     sample_prior_parameters draws, by the network's own pass at sigma_q = 0."""
-    ws, bs = sample_prior_parameters(arch, prior, output_groups, seed)
-    post = VariationalPosterior(arch, ws, bs, sigma_q=0.0)
+    post = sample_prior_parameters(arch, prior, output_groups, seed)
     net = BayesianMLP(arch, post, prior, output_groups)
     return net.forward_np(x, [np.zeros((1, 1, u)) for u in arch.widths[1:]])[0]
 

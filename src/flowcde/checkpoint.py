@@ -22,6 +22,7 @@ from .bnn import (
     MLPArchitecture,
     PriorConfig,
     VariationalPosterior,
+    _layout,
 )
 from .data import NormStats, identity_stats
 from .errors import DataError
@@ -202,19 +203,16 @@ def _read_model(r, prefix):
         groups,
     )
     mode = r.take(prefix + "posterior.mode")
-    w_means, b_means, w_lv, b_lv = [], [], [], []
-    for layer, (ws, bs) in enumerate(arch.layer_shapes()):
-        w_means.append(_parse_array(r.take(prefix + f"posterior.w_mean.{layer}")).reshape(ws))
-        b_means.append(_parse_array(r.take(prefix + f"posterior.b_mean.{layer}")).reshape(bs))
-        if mode == "learned":
-            w_lv.append(_parse_array(r.take(prefix + f"posterior.w_logvar.{layer}")).reshape(ws))
-            b_lv.append(_parse_array(r.take(prefix + f"posterior.b_logvar.{layer}")).reshape(bs))
-    if mode == "fixed":
-        post = VariationalPosterior(
-            arch, w_means, b_means, sigma_q=float(r.take(prefix + "posterior.sigma_q"))
-        )
-    else:
-        post = VariationalPosterior(arch, w_means, b_means, w_logvars=w_lv, b_logvars=b_lv)
+    if mode not in ("fixed", "learned"):
+        raise DataError(f"{r.path}: unknown posterior mode {mode!r}")
+    sigma_q = float(r.take(prefix + "posterior.sigma_q")) if mode == "fixed" else None
+    # each chunk is stored under its singular key (w_means -> posterior.w_mean.0)
+    # and must have its own shape, so chunks cannot trade lengths
+    chunks = [
+        _parse_array(r.take(f"{prefix}posterior.{kind[:-1]}.{layer}")).reshape(shape).ravel()
+        for kind, layer, shape in _layout(arch, learned=sigma_q is None)
+    ]
+    post = VariationalPosterior(arch, np.concatenate(chunks), sigma_q)
     net = BayesianMLP(arch, post, prior, head.group_map())
     return CdeModel(net, head, _parse_array(r.take(prefix + "extras")))
 

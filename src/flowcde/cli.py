@@ -411,14 +411,21 @@ def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
     return ll
 
 
-def _normalize_condition(ckpt, condition):
-    """Raw-unit condition (nan allowed) -> normalized expanded feature row."""
+def _condition(ckpt, condition):
+    """The raw-unit condition, all nan when unset; it needs one value per
+    feature."""
     n_raw = len(ckpt.features)
+    condition = condition or (math.nan,) * n_raw
     if len(condition) != n_raw:
         raise ConfigError(
             f"condition needs {n_raw} values for features {ckpt.features}, "
             f"got {len(condition)}"
         )
+    return condition
+
+
+def _normalize_condition(ckpt, condition):
+    """Raw-unit condition (nan allowed) -> normalized expanded feature row."""
     return normalize_features(ckpt.norm, condition, ckpt.features, ckpt.cyclic)[0]
 
 
@@ -457,7 +464,7 @@ def cmd_sample(values, raw, meta):
     ckpt = load_checkpoint(_require(values, "checkpoint"))
     if not values["condition"]:
         raise ConfigError("setting 'condition' is required")
-    x_row = _normalize_condition(ckpt, values["condition"])
+    x_row = _normalize_condition(ckpt, _condition(ckpt, values["condition"]))
     if np.isnan(x_row).any():
         raise ConfigError("sampling requires a fully specified condition")
     rng = np.random.default_rng(values["seed"])
@@ -529,7 +536,7 @@ def _quantiles(grid, pdf):
     return 0.5 * (lo + hi)
 
 
-def _heatmap_1d(values, ckpt, out):
+def _heatmap_1d(values, ckpt, cond):
     stats = ckpt.norm
     want_q = values["quantiles"]
     if want_q and values["y_points"] < 2:
@@ -541,7 +548,6 @@ def _heatmap_1d(values, ckpt, out):
             f"setting y_max={values['y_max']!r}: quantiles need an ascending target grid, "
             f"so y_max must exceed y_min={values['y_min']!r}"
         )
-    cond = values["condition"] or (math.nan,) * len(ckpt.features)
     sweep = [i for i, v in enumerate(cond) if math.isnan(v)]
     if len(sweep) != 1:
         raise ConfigError(
@@ -564,18 +570,19 @@ def _heatmap_1d(values, ckpt, out):
     if values["raw_units"]:
         dens = dens / stats.y_std[0]
     emitted = np.minimum(dens, values["cap"]) if values["cap"] > 0 else dens
+    out = _out_dir(values)
     _write_grid(out / "heatmap.csv", ("x", "y"), x_grid, y_grid, emitted)
     if want_q:
         with open(out / "quantiles.csv", "w") as fh:
             fh.write("x,median,q025,q975\n")
             write_table(fh, [x_grid, *denormalize_targets(stats, quantiles, 0).T])
+    return out
 
 
-def _heatmap_2d(values, ckpt, out):
+def _heatmap_2d(values, ckpt, cond):
     stats = ckpt.norm
     model = ckpt.model
-    cond = values["condition"] or (math.nan,) * len(ckpt.features)
-    row = _normalize_condition(ckpt, tuple(cond))
+    row = _normalize_condition(ckpt, cond)
     a_idx, b_idx = model.order
     g_a = np.linspace(values["y_min"], values["y_max"], values["y_points"])
     g_b = np.linspace(values["y2_min"], values["y2_max"], values["y2_points"])
@@ -593,22 +600,18 @@ def _heatmap_2d(values, ckpt, out):
         dens = dens / (stats.y_std[a_idx] * stats.y_std[b_idx])
     if values["cap"] > 0:
         dens = np.minimum(dens, values["cap"])
+    out = _out_dir(values)
     _write_grid(out / "heatmap.csv", model.chain_names, g_a, g_b, dens)
+    return out
 
 
 def cmd_heatmap(values, raw, meta):
     if not values["cap"] >= 0:
         raise ConfigError(f"setting cap={values['cap']!r}: must be >= 0 (0 = uncapped)")
     ckpt = load_checkpoint(_require(values, "checkpoint"))
-    out = _out_dir(values)
-    if values["condition"] and len(values["condition"]) != len(ckpt.features):
-        raise ConfigError(
-            f"condition needs {len(ckpt.features)} values, got {len(values['condition'])}"
-        )
-    if ckpt.kind == "autoreg":
-        _heatmap_2d(values, ckpt, out)
-    else:
-        _heatmap_1d(values, ckpt, out)
+    cond = _condition(ckpt, values["condition"])
+    draw = _heatmap_2d if ckpt.kind == "autoreg" else _heatmap_1d
+    out = draw(values, ckpt, cond)  # it makes the output directory once its grid passes
     _write_manifest(out / "manifest.cfg", "heatmap", raw)
     print(f"wrote {out / 'heatmap.csv'}")
     return 0
@@ -647,27 +650,24 @@ def cmd_grid_search(values, raw, meta):
     grid_raw = values.pop("_grid_raw", {})
     if not grid_raw:
         raise ConfigError("grid-search needs at least one grid.<setting> list")
-    spec = SETTINGS["train"]
     axes = []
     for key in sorted(grid_raw):
-        parser = spec[key][0]
         options = [v.strip() for v in grid_raw[key].split(";") if v.strip()]
         if not options:
             raise ConfigError(f"grid.{key} is empty")
         axes.append([(key, opt) for opt in options])
-    combos = list(product(*axes))
+    # every combination resolves as its own train run would, before any trains
+    base = {k: v for k, v in raw.items() if not k.startswith("grid.")}
+    runs = []
+    for idx, combo in enumerate(product(*axes)):
+        sub = {**base, **dict(combo), "out": str(Path(values["out"]) / f"combo_{idx:03d}")}
+        overrides = [f"{k}={v}" for k, v in sub.items()]
+        sub_values, sub_raw, _ = resolve_settings("train", None, overrides)
+        _train_config(sub_values)
+        runs.append((combo, sub_values, sub_raw))
     out = _out_dir(values)
     results = []
-    for idx, combo in enumerate(combos):
-        sub_raw = dict(raw)
-        sub_raw.pop("out", None)
-        sub_values = dict(values)
-        for key, opt in combo:
-            sub_values[key] = spec[key][0](opt)
-            sub_raw[key] = opt
-        sub_values["out"] = str(Path(values["out"]) / f"combo_{idx:03d}")
-        sub_raw["out"] = sub_values["out"]
-        sub_raw = {k: v for k, v in sub_raw.items() if not k.startswith("grid.")}
+    for idx, (combo, sub_values, sub_raw) in enumerate(runs):
         combo_out, ckpt, valid_ds, test_ds = _fit(sub_values, {})
         _write_manifest(combo_out / "manifest.cfg", "train", sub_raw, sub_values["data"])
         valid_ll = float(

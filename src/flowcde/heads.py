@@ -184,7 +184,7 @@ class MDNHead:
         cdf = np.cumsum(np.exp(logit - logit.max(axis=1, keepdims=True)), axis=1)
         picks = (cdf < rng.random((n, 1)) * cdf[:, -1:]).sum(axis=1)
         rows = np.arange(n)
-        sigma = np.logaddexp(0.0, sig_hat[rows, picks])
+        sigma = softplus(sig_hat[rows, picks])
         return mu[rows, picks] + s[:, 0] + sigma * rng.standard_normal(n)
 
 
@@ -256,7 +256,7 @@ class LVHead(_MeanHead):
         """Each block holds the per-noise-draw means of one datum; a draw
         picks one of them."""
         means = np.asarray(omega, dtype=float)[..., 0]
-        sigma = float(np.logaddexp(0.0, extras[0]))
+        sigma = float(softplus(extras[0]))
         picks = rng.integers(means.shape[1], size=n)
         return means[np.arange(n), picks] + sigma * rng.standard_normal(n)
 
@@ -289,7 +289,7 @@ class GaussHead(_MeanHead):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
-        sigma = float(np.logaddexp(0.0, extras[0]))
+        sigma = float(softplus(extras[0]))
         return np.asarray(omega, dtype=float)[:, 0, 0] + sigma * rng.standard_normal(n)
 
 

@@ -447,9 +447,10 @@ def test_criterion_09_prior_manifold_gaussian_columns_and_lambda_spread():
     # same draw, growing lambda: across-x spread of every output must rise
     xs = np.linspace(-2.0, 2.0, 40)[:, None]
     prior = head.default_prior(1.0, 1.0, 1.0)
-    ws, bs = sample_prior_parameters(arch, prior, head.group_map(), 7)
+    post = sample_prior_parameters(arch, prior, head.group_map(), 7)
     spreads = np.array(
-        [mlp_forward(ws, bs, xs, lam).std(axis=0) for lam in (0.5, 1.0, 2.0, 4.0)]
+        [mlp_forward(post.w_means, post.b_means, xs, lam).std(axis=0)
+         for lam in (0.5, 1.0, 2.0, 4.0)]
     )
     strictly_rising = bool(np.all(np.diff(spreads, axis=0) > 0))
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,7 @@
 """Variational MLP: forward passes, priors, KL, and prior sampling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,11 +52,16 @@ def small_net(
 def randomized(net, seed=5, spread=0.8):
     rng = np.random.default_rng(seed)
     post = net.posterior
-    post.w_means = [rng.normal(0, spread, w.shape) for w in post.w_means]
-    post.b_means = [rng.normal(0, spread, b.shape) for b in post.b_means]
+    # written through the per-layer views, so into post.vector
+    for w in post.w_means:
+        w[...] = rng.normal(0, spread, w.shape)
+    for b in post.b_means:
+        b[...] = rng.normal(0, spread, b.shape)
     if post.mode == "learned":
-        post.w_logvars = [rng.normal(-2.0, 0.5, w.shape) for w in post.w_logvars]
-        post.b_logvars = [rng.normal(-2.0, 0.5, b.shape) for b in post.b_logvars]
+        for w in post.w_logvars:
+            w[...] = rng.normal(-2.0, 0.5, w.shape)
+        for b in post.b_logvars:
+            b[...] = rng.normal(-2.0, 0.5, b.shape)
     return net
 
 
@@ -69,13 +76,17 @@ def test_architecture_validation():
 
 
 def test_posterior_mode_validation():
-    arch = MLPArchitecture(1, (), 1)
-    w = [np.zeros((1, 1))]
-    b = [np.zeros(1)]
+    arch = MLPArchitecture(1, (), 1)  # one weight and one bias
     with pytest.raises(StructuralError):
-        VariationalPosterior(arch, w, b)  # neither mode
+        VariationalPosterior(arch, np.zeros(2))  # learned mode lacks log-variances
     with pytest.raises(StructuralError):
-        VariationalPosterior(arch, w, b, sigma_q=0.1, w_logvars=w, b_logvars=b)
+        VariationalPosterior(arch, np.zeros(4), sigma_q=0.1)  # fixed mode has means only
+    with pytest.raises(StructuralError):
+        VariationalPosterior(arch, np.zeros(2), sigma_q=-0.1)
+    learned = VariationalPosterior(arch, np.zeros(4))
+    for bad in (np.zeros(3), np.zeros(5), np.zeros((2, 2))):  # too short, too long, 2-D
+        with pytest.raises(StructuralError, match="layout needs"):
+            learned.replace_from_vector(bad)
 
 
 def test_group_map_must_partition():
@@ -100,6 +111,11 @@ def test_init_posterior_properties():
     assert np.abs(a.w_means[0]).max() <= np.sqrt(6.0 / (3 + 8))
     assert np.abs(a.w_means[1]).max() <= np.sqrt(6.0 / (8 + 5))
     assert all(np.all(bm == 0) for bm in a.b_means)
+    # the means are drawn layer by layer, each weight matrix in one call
+    rng = np.random.default_rng(42)
+    for w, (fan_in, fan_out) in zip(a.w_means, [(3, 8), (8, 5)]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     learned = init_posterior(arch, 1, sigma_init=1e-5, mode="learned")
     assert np.allclose(np.exp(learned.w_logvars[0]), 1e-10, rtol=1e-12)
     with pytest.raises(StructuralError):
@@ -117,6 +133,35 @@ def test_vector_round_trip():
         assert np.array_equal(again.to_vector(), vec)
 
 
+def test_posterior_fields_are_the_flat_store():
+    assert [f.name for f in fields(VariationalPosterior)] == ["arch", "vector", "sigma_q"]
+
+
+def test_views_share_the_flat_vector():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        hidden = tuple(int(h) for h in rng.integers(1, 6, size=rng.integers(0, 3)))
+        arch = MLPArchitecture(int(rng.integers(1, 4)), hidden, int(rng.integers(1, 5)))
+        for mode in ("fixed", "learned"):
+            post = init_posterior(arch, trial, sigma_init=0.1, mode=mode)
+            v = rng.normal(size=post.n_trainable)
+            again = post.replace_from_vector(v)
+            assert again.to_vector() is again.vector
+            assert np.array_equal(again.to_vector(), v)
+            views = [*again.w_means, *again.b_means]
+            if mode == "learned":
+                views += [*again.w_logvars, *again.b_logvars]
+            else:
+                assert again.w_logvars is None and again.b_logvars is None
+            assert len(views) == (4 if mode == "learned" else 2) * arch.n_layers
+            assert all(np.shares_memory(view, again.vector) for view in views)
+            # tape leaves: one per chunk, pushed first and in canonical order
+            tape = Tape()
+            tp = TapeParams(tape, again)
+            assert [leaf.id for leaf in tp.leaves] == list(range(len(views)))
+            assert np.array_equal(np.concatenate([leaf.value.ravel() for leaf in tp.leaves]), v)
+
+
 def test_zero_variance_forward_equals_plain_mlp():
     net = randomized(small_net(sigma_q=0.0, lambda_=1.7))
     x = np.random.default_rng(3).normal(size=(6, 2))
@@ -129,7 +174,7 @@ def test_zero_variance_forward_equals_plain_mlp():
 
 def test_single_linear_unit_pre_activation():
     arch = MLPArchitecture(1, (), 1)
-    post = VariationalPosterior(arch, [np.ones((1, 1))], [np.zeros(1)], sigma_q=0.0)
+    post = VariationalPosterior(arch, np.array([1.0, 0.0]), sigma_q=0.0)
     net = BayesianMLP(arch, post, nf_prior(), {"shift": (0,)})
     eps = draw_eps(arch, np.random.default_rng(0), 1, 1)
     out = net.forward_np(np.array([[2.0]]), eps)
@@ -148,7 +193,7 @@ def test_lambda_zero_outputs_are_bias_pathway():
 
 def test_lambda_scales_weight_pathway_linearly():
     base = randomized(small_net(sigma_q=0.0, lambda_=0.4))
-    base.posterior.b_means[-1] = np.zeros_like(base.posterior.b_means[-1])
+    base.posterior.b_means[-1][...] = 0.0
     x = np.random.default_rng(2).normal(size=(3, 2))
     eps = draw_eps(base.arch, np.random.default_rng(0), 1, 3)
     out1 = base.forward_np(x, eps)[0]
@@ -166,7 +211,7 @@ def test_local_reparam_moments():
     b = rng.normal(size=2)
     wlv = rng.normal(-1.0, 0.3, size=(3, 2))
     blv = rng.normal(-1.0, 0.3, size=2)
-    post = VariationalPosterior(arch, [w], [b], w_logvars=[wlv], b_logvars=[blv])
+    post = VariationalPosterior(arch, np.concatenate([w.ravel(), b, wlv.ravel(), blv]))
     net = BayesianMLP(
         arch, post, PriorConfig(groups={"out": GroupPrior(0, 1)}), {"out": (0, 1)}
     )
@@ -298,24 +343,14 @@ def test_kl_zero_iff_posterior_equals_prior():
     net = small_net(arch=arch, mode="learned", groups=prior.groups, sigma_w=0.7)
     net.prior = prior
     mu_p, sd_p = net.prior_mean_std_vectors()
-    from flowcde.bnn import split_flat
-
-    means = split_flat(arch, mu_p, learned=False)
-    lvs = split_flat(arch, 2.0 * np.log(sd_p), learned=False)
-    net.posterior = VariationalPosterior(
-        arch, means["w_mean"], means["b_mean"],
-        w_logvars=lvs["w_mean"], b_logvars=lvs["b_mean"],
-    )
+    net.posterior = VariationalPosterior(arch, np.concatenate([mu_p, 2.0 * np.log(sd_p)]))
     assert net.kl_to_prior() == 0.0
     assert np.all(net.kl_gradients() == 0.0)
 
 
 def test_kl_single_parameter_half():
     arch = MLPArchitecture(1, (), 1)
-    post = VariationalPosterior(
-        arch, [np.array([[0.0]])], [np.array([1.0])],
-        w_logvars=[np.zeros((1, 1))], b_logvars=[np.zeros(1)],
-    )
+    post = VariationalPosterior(arch, np.array([0.0, 1.0, 0.0, 0.0]))  # w, b, then log-variances
     prior = PriorConfig(1.0, 1.0, {"out": GroupPrior(0.0, 1.0)})
     net = BayesianMLP(arch, post, prior, {"out": (0,)})
     # weight matches its prior exactly; bias is N(1,1) vs N(0,1)
@@ -396,14 +431,16 @@ def test_prior_vectors_layout():
 def test_sample_prior_parameters_formula():
     arch = MLPArchitecture(1, (2,), 4)
     prior = nf_prior(sigma_w=0.3, lambda_=1.0, sigma_beta=0.7)
-    ws, bs = sample_prior_parameters(arch, prior, nf_group_map(1), seed=99)
+    post = sample_prior_parameters(arch, prior, nf_group_map(1), seed=99)
+    ws, bs = post.w_means, post.b_means
     net = small_net(arch=arch)
     net.prior = prior
     mu, sd = net.prior_mean_std_vectors()
     eps = np.random.default_rng(99).standard_normal(mu.size)
     theta = mu + sd * eps
     got = np.concatenate([ws[0].ravel(), bs[0], ws[1].ravel(), bs[1]])
-    assert np.array_equal(got, theta)
+    assert np.array_equal(got, theta) and np.array_equal(post.vector, theta)
+    assert post.sigma_q == 0.0
 
 
 def test_prior_cde_zero_beta_is_gaussian():
@@ -412,8 +449,8 @@ def test_prior_cde_zero_beta_is_gaussian():
     xg = np.linspace(-2, 2, 9)
     yg = np.linspace(-6, 6, 121)
     grid = sample_prior_cde(arch, prior, NFHead(1), 3, xg, yg)
-    ws, bs = sample_prior_parameters(arch, prior, nf_group_map(1), 3)
-    omega = mlp_forward(ws, bs, xg.reshape(-1, 1), 1.0)
+    post = sample_prior_parameters(arch, prior, nf_group_map(1), 3)
+    omega = mlp_forward(post.w_means, post.b_means, xg.reshape(-1, 1), 1.0)
     for i in range(xg.size):
         want = np.exp(-0.5 * (np.log(2 * np.pi) + (yg - omega[i, 3]) ** 2))
         assert np.allclose(grid[i], want, atol=1e-10)
@@ -430,8 +467,8 @@ def test_prior_draw_runs_the_network_pass_bit_for_bit_like_the_reference(name):
         prior = head.default_prior(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 5.0)),
                                    float(rng.uniform(0.0, 2.0)))
         x = rng.uniform(-3.0, 3.0, size=(6, arch.input_dim))
-        ws, bs = sample_prior_parameters(arch, prior, head.group_map(), trial)
-        want = mlp_forward(ws, bs, x, prior.lambda_)
+        post = sample_prior_parameters(arch, prior, head.group_map(), trial)
+        want = mlp_forward(post.w_means, post.b_means, x, prior.lambda_)
         assert np.array_equal(prior_outputs(arch, prior, head.group_map(), trial, x), want)
         if arch.input_dim == 1:
             dens = np.exp(head.log_density_rows_np(
@@ -463,8 +500,8 @@ def test_prior_cde_lambda_orders_output_spread():
     spreads = []
     for lam in (0.2, 2.0):
         prior = nf_prior(sigma_w=1.0, lambda_=lam, sigma_beta=1.0)
-        ws, bs = sample_prior_parameters(arch, prior, nf_group_map(2), seed=7)
-        omega = mlp_forward(ws, bs, xg.reshape(-1, 1), lam)
+        post = sample_prior_parameters(arch, prior, nf_group_map(2), seed=7)
+        omega = mlp_forward(post.w_means, post.b_means, xg.reshape(-1, 1), lam)
         spreads.append(omega.std(axis=0))
     assert np.all(spreads[1] > spreads[0])
 

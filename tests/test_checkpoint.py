@@ -152,6 +152,14 @@ def test_missing_and_unknown_keys_are_reported(tmp_path):
         load_checkpoint(p)
 
 
+def test_unknown_posterior_mode_is_rejected(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, Checkpoint(build_model("gauss", mode="learned")))
+    p.write_text(p.read_text().replace("posterior.mode = learned", "posterior.mode = bogus"))
+    with pytest.raises(DataError, match="unknown posterior mode 'bogus'"):
+        load_checkpoint(p)
+
+
 def test_column_names_with_separators_are_rejected(tmp_path):
     model = build_model("gauss")
     with pytest.raises(DataError, match="cannot contain"):

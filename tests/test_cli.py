@@ -224,6 +224,9 @@ _DROP_STATS = {
     [
         {"posterior.w_mean.0": lambda v: v.rsplit(" ", 1)[0]},  # truncated
         {"posterior.b_mean.0": lambda v: "abc " + v.split(" ", 1)[1]},  # non-numeric
+        # one value moves from a weight chunk to a bias chunk: the total is right
+        {"posterior.w_mean.0": lambda v: v.rsplit(" ", 1)[0],
+         "posterior.b_mean.0": lambda v: v + " 0.5"},
         {"arch.input_dim": lambda v: "x"},
         {"head.n_stages": lambda v: str(int(v) + 1)},  # output groups mismatch the net
         {"head.name": lambda v: "bogus"},
@@ -237,8 +240,8 @@ _DROP_STATS = {
          "stats.x_mean": lambda v: v + " 0",
          "stats.x_std": lambda v: v + " 1"},
     ],
-    ids=["truncated", "non-numeric", "input-dim", "n-stages", "unknown-head",
-         "features-without-stats", "stats-with-an-extra-column"],
+    ids=["truncated", "non-numeric", "chunks-trade-lengths", "input-dim", "n-stages",
+         "unknown-head", "features-without-stats", "stats-with-an-extra-column"],
 )
 def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
     lines = (trained / "checkpoint.ckpt").read_text().splitlines()
@@ -275,9 +278,13 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("heatmap", "y_min=1 y_max=1"),
         ("heatmap", "y_points=1"),
         ("heatmap", "cap=-1"),
+        ("heatmap", "condition=1,2"),  # the model has one feature
         ("train", "hidden=0"),
         ("train", "sigma_q=0"),
         ("train", "batch_size=401"),  # the toy data has 400 rows
+        # a bad option in any combination is refused before combination 0 trains
+        ("grid-search", "grid.hidden=8;abc"),
+        ("grid-search", "grid.learning_rate=0.01;-1"),
         ("gen-toy", "n=0"),
         ("prior-sample", "x_points=-1"),
         ("prior-sample", "y_points=0"),
@@ -299,6 +306,7 @@ def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, 
         "eval": [ckpt, f"data={trained / 'test.csv'}"],
         "heatmap": [ckpt],
         "train": [f"data={toy / 'data.csv'}", "features=x", "targets=y", "iterations=1"],
+        "grid-search": [f"data={toy / 'data.csv'}", "features=x", "iterations=1", "hidden=4"],
         "gen-toy": [],
         "prior-sample": [],
     }[command]
@@ -306,8 +314,8 @@ def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, 
     assert run(command, *args, *setting.split(), f"out={tmp_path / 'x'}") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert setting.split()[-1].partition("=")[0] in err
-    assert not (tmp_path / "x" / "data.csv").exists()
+    assert setting.split()[-1].partition("=")[0].removeprefix("grid.") in err
+    assert not (tmp_path / "x").exists()
 
 
 # -- gen-toy -----------------------------------------------------------------------
@@ -542,8 +550,7 @@ def test_heatmap_refuses_quantiles_of_a_zero_mass_row(trained, tmp_path, capsys)
                f"out={out}") == 4
     printed = capsys.readouterr()
     assert "integrates to 0" in printed.err and "nan" not in printed.out
-    assert not (out / "heatmap.csv").exists()
-    assert not (out / "quantiles.csv").exists()
+    assert not out.exists()
     # the densities themselves are a valid (all-zero) heatmap
     out = tmp_path / "hmzero_noq"
     assert run("heatmap", f"checkpoint={trained / 'checkpoint.ckpt'}", *far,
