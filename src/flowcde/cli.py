@@ -4,9 +4,10 @@ Subcommands: train, eval, sample, heatmap, prior-sample, grid-search, gen-toy.
 
 Settings come from a flat `key = value` config file (--config) overridden by
 positional key=value arguments; every key has a documented default and
-unknown keys are reported exhaustively in one error.  Each artifact-writing
-command emits a manifest (the fully resolved settings plus the data file's
-sha256) that re-runs to bit-identical outputs on the same platform.
+domain (a value outside it exits 2 before the command runs), and unknown keys
+are reported exhaustively in one error.  Each artifact-writing command emits
+a manifest (the fully resolved settings plus the data file's sha256) that
+re-runs to bit-identical outputs on the same platform.
 
 Exit codes: 0 success, 2 configuration error or invalid setting value, 3 data
 error (a bad checkpoint too), 4 numeric error, 1 anything else.  The output
@@ -32,6 +33,7 @@ from .autoreg import density_grid, fit_chain, joint_log_density, sample_chain
 from .bnn import BayesianMLP, MLPArchitecture, init_posterior, sample_prior_cde
 from .checkpoint import Checkpoint, format_names, load_checkpoint, save_checkpoint
 from .data import (
+    TOY_GENERATORS,
     apply_stats,
     denormalize_targets,
     load_csv,
@@ -55,72 +57,83 @@ __all__ = ["main"]
 # -- settings ------------------------------------------------------------------
 
 
+def _checked(parse, rule, ok):
+    """`parse`, refusing a value for which `ok` is false; `rule` names the
+    setting's domain in the refusal and in --help."""
+    def check(s):
+        value = parse(s)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+    check.rule = rule
+    return check
+
+
+def _items(parse):
+    """A comma-separated list, each item through `parse`."""
+    return lambda s: tuple(parse(t.strip()) for t in s.split(",") if t.strip())
+
+
+def _swept(parse):
+    return _checked(_items(parse), f"a non-empty list, each {parse.rule}", bool)
+
+
+def _choice(*names):
+    return _checked(str, "one of " + ", ".join(names), names.__contains__)
+
+
 def _parse_bool(s):
     if s in ("true", "false"):
         return s == "true"
     raise ValueError("expected true or false")
 
 
-def _parse_grid_size(s):
-    n = int(s)
-    if n < 1:
-        raise ValueError("a grid needs at least 1 point")
-    return n
-
-
-def _parse_names(s):
-    return tuple(t.strip() for t in s.split(",") if t.strip())
-
-
-def _parse_ints(s):
-    return tuple(int(t) for t in s.split(",") if t.strip())
-
-
-def _parse_floats(s):
-    return tuple(float(t) for t in s.split(",") if t.strip())
-
-
-def _parse_condition(s):
-    return tuple(
-        math.nan if t.strip() in ("nan", "?") else float(t)
-        for t in s.split(",")
-        if t.strip()
-    )
-
+_COUNT = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE_INT = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_POSITIVE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+_DECAY = _checked(float, "a number in [0, 1)", lambda v: 0 <= v < 1)
+_NAMES = _items(str)
+_CONDITION = _items(lambda t: math.nan if t == "?" else float(t))
+_SPLIT = _checked(_items(float), "three fractions >= 0 that sum to 1",  # data.split's rule
+                  lambda f: len(f) == 3 and min(f) >= 0 and abs(sum(f) - 1.0) <= 1e-9)
 
 _MODEL_KEYS = {
-    "head": (str, "nf", "likelihood head: nf | mdn | lv | gauss"),
-    "n_stages": (int, "5", "flow stages (nf head)"),
-    "n_components": (int, "5", "mixture components (mdn head)"),
-    "n_noise": (int, "5", "noise draws per datum (lv head)"),
-    "noise_dim": (int, "1", "noise input dimension (lv head)"),
-    "hidden": (_parse_ints, "50", "comma-separated hidden layer widths"),
-    "mode": (str, "fixed", "posterior variance mode: fixed | learned"),
-    "sigma_q": (float, "0.01", "initial posterior std"),
-    "sigma_w": (float, "1.0", "prior std of hidden-layer weights"),
-    "lambda": (float, "1.0", "output-weight scaling factor"),
-    "sigma_beta": (float, "1.0", "prior std of the flow beta-hat outputs"),
+    "head": (_choice("nf", "mdn", "lv", "gauss"), "nf", "likelihood head"),
+    "n_stages": (_COUNT, "5", "flow stages (nf head)"),
+    "n_components": (_POSITIVE_INT, "5", "mixture components (mdn head)"),
+    "n_noise": (_POSITIVE_INT, "5", "noise draws per datum (lv head)"),
+    "noise_dim": (_POSITIVE_INT, "1", "noise input dimension (lv head)"),
+    "hidden": (_checked(_items(int), "integers >= 1", lambda w: all(h >= 1 for h in w)), "50",
+               "comma-separated hidden layer widths"),
+    "mode": (_choice("fixed", "learned"), "fixed", "posterior variance mode"),
+    "sigma_q": (_POSITIVE, "0.01", "initial posterior std"),
+    "sigma_w": (_POSITIVE, "1.0", "prior std of hidden-layer weights"),
+    "lambda": (_NON_NEGATIVE, "1.0", "output-weight scaling factor"),
+    "sigma_beta": (_NON_NEGATIVE, "1.0", "prior std of the flow beta-hat outputs"),
 }
 
 _TRAIN_KEYS = {
-    "learning_rate": (float, "0.005", "Adam learning rate"),
-    "beta1": (float, "0.9", "Adam first-moment decay"),
-    "beta2": (float, "0.99", "Adam second-moment decay"),
-    "adam_eps": (float, "1e-8", "Adam denominator epsilon"),
-    "iterations": (int, "5000", "training iterations"),
-    "batch_size": (int, "0", "minibatch size (0 trains full-batch)"),
-    "mc_train": (int, "20", "Monte Carlo draws per training step"),
-    "mc_test": (int, "20", "Monte Carlo draws at evaluation time"),
-    "seed": (int, "0", "seed for init and training noise"),
+    "learning_rate": (_POSITIVE, "0.005", "Adam learning rate"),
+    "beta1": (_DECAY, "0.9", "Adam first-moment decay"),
+    "beta2": (_DECAY, "0.99", "Adam second-moment decay"),
+    "adam_eps": (_POSITIVE, "1e-8", "Adam denominator epsilon"),
+    "iterations": (_COUNT, "5000", "training iterations"),
+    "batch_size": (_COUNT, "0", "minibatch size (0 trains full-batch)"),
+    "mc_train": (_POSITIVE_INT, "20", "Monte Carlo draws per training step"),
+    "mc_test": (_POSITIVE_INT, "20", "Monte Carlo draws at evaluation time"),
+    "seed": (_COUNT, "0", "seed for init and training noise"),
 }
 
 _DATA_KEYS = {
     "data": (str, "", "input CSV path (required)"),
-    "features": (_parse_names, "", "feature columns (default: all non-target)"),
-    "targets": (_parse_names, "y", "target column(s), 1 or 2 names"),
-    "cyclic": (_parse_names, "", "feature columns encoded as hour-of-day"),
-    "split": (_parse_floats, "0.8,0.1,0.1", "train/valid/test fractions"),
-    "split_seed": (int, "0", "seed for the shuffled split"),
+    "features": (_NAMES, "", "feature columns (default: all non-target)"),
+    "targets": (_checked(_NAMES, "1 or 2 names", lambda t: len(t) in (1, 2)), "y",
+                "target column(s)"),
+    "cyclic": (_NAMES, "", "feature columns encoded as hour-of-day"),
+    "split": (_SPLIT, "0.8,0.1,0.1", "train/valid/test fractions"),
+    "split_seed": (_COUNT, "0", "seed for the shuffled split"),
 }
 
 SETTINGS = {
@@ -128,68 +141,66 @@ SETTINGS = {
         **_DATA_KEYS,
         **_MODEL_KEYS,
         **_TRAIN_KEYS,
-        "order": (_parse_ints, "0,1", "chain order for 2-column targets"),
+        "order": (_items(int), "0,1", "chain order for 2-column targets"),
         "out": (str, "run", "output directory (under FLOWCDE_OUT)"),
     },
     "eval": {
         "checkpoint": (str, "", "checkpoint path (required)"),
         "data": (str, "", "held-out CSV path (required)"),
-        "mc": (int, "20", "Monte Carlo draws per point"),
-        "seed": (int, "0", "evaluation noise seed"),
+        "mc": (_POSITIVE_INT, "20", "Monte Carlo draws per point"),
+        "seed": (_COUNT, "0", "evaluation noise seed"),
         "raw_units": (_parse_bool, "true", "report LL in raw target units"),
         "out": (str, "eval", "output directory (under FLOWCDE_OUT)"),
     },
     "sample": {
         "checkpoint": (str, "", "checkpoint path (required)"),
-        "condition": (_parse_condition, "", "feature values, raw units (required)"),
-        "n": (int, "1000", "number of draws"),
-        "mc": (int, "20", "network draws to mix over (a 2nd chain stage takes one per draw)"),
-        "seed": (int, "0", "sampling seed"),
+        "condition": (_CONDITION, "", "feature values, raw units (required)"),
+        "n": (_POSITIVE_INT, "1000", "number of draws"),
+        "mc": (_POSITIVE_INT, "20",
+               "network draws to mix over (a 2nd chain stage takes one per draw)"),
+        "seed": (_COUNT, "0", "sampling seed"),
         "out": (str, "samples", "output directory (under FLOWCDE_OUT)"),
     },
     "heatmap": {
         "checkpoint": (str, "", "checkpoint path (required)"),
-        "condition": (_parse_condition, "", "feature values; nan sweeps/marginalizes"),
-        "x_min": (float, "-2.0", "swept-feature grid start (1D models)"),
-        "x_max": (float, "2.0", "swept-feature grid end"),
-        "x_points": (_parse_grid_size, "40", "swept-feature grid size"),
-        "y_min": (float, "-3.0", "target grid start"),
-        "y_max": (float, "3.0", "target grid end"),
-        "y_points": (_parse_grid_size, "81", "target grid size"),
-        "y2_min": (float, "-3.0", "second-target grid start (2D models)"),
-        "y2_max": (float, "3.0", "second-target grid end"),
-        "y2_points": (_parse_grid_size, "81", "second-target grid size"),
-        "marginal_samples": (int, "10", "draws for marginalized features (2D)"),
-        "mc": (int, "20", "network draws to mix over"),
-        "seed": (int, "0", "evaluation noise seed"),
-        "cap": (float, "0", "cap emitted densities at this value (0 = uncapped)"),
+        "condition": (_CONDITION, "", "feature values; nan sweeps/marginalizes"),
+        "x_min": (_FINITE, "-2.0", "swept-feature grid start (1D models)"),
+        "x_max": (_FINITE, "2.0", "swept-feature grid end"),
+        "x_points": (_POSITIVE_INT, "40", "swept-feature grid size"),
+        "y_min": (_FINITE, "-3.0", "target grid start"),
+        "y_max": (_FINITE, "3.0", "target grid end"),
+        "y_points": (_POSITIVE_INT, "81", "target grid size"),
+        "y2_min": (_FINITE, "-3.0", "second-target grid start (2D models)"),
+        "y2_max": (_FINITE, "3.0", "second-target grid end"),
+        "y2_points": (_POSITIVE_INT, "81", "second-target grid size"),
+        "marginal_samples": (_POSITIVE_INT, "10", "draws for marginalized features (2D)"),
+        "mc": (_POSITIVE_INT, "20", "network draws to mix over"),
+        "seed": (_COUNT, "0", "evaluation noise seed"),
+        "cap": (_NON_NEGATIVE, "0", "cap emitted densities at this value (0 = uncapped)"),
         "raw_units": (_parse_bool, "true", "densities in raw target units"),
         "quantiles": (_parse_bool, "true", "also write per-x median and 95% band (1D)"),
         "out": (str, "heatmap", "output directory (under FLOWCDE_OUT)"),
     },
     "prior-sample": {
-        "head": (str, "nf", "likelihood head: nf | mdn | gauss"),
-        "n_stages": (int, "5", "flow stages (nf head)"),
-        "n_components": (int, "5", "mixture components (mdn head)"),
-        "hidden": (_parse_ints, "50", "comma-separated hidden layer widths"),
-        "input_dim": (int, "1", "conditioning dimension"),
-        "sigma_w": (float, "1.0", "prior std of hidden-layer weights"),
-        "lambdas": (_parse_floats, "1.0", "lambda values to sweep"),
-        "sigma_betas": (_parse_floats, "1.0", "beta-hat prior stds to sweep"),
-        "seeds": (_parse_ints, "0", "parameter-draw seeds to sweep"),
-        "x_min": (float, "-2.0", "conditioning grid start"),
-        "x_max": (float, "2.0", "conditioning grid end"),
-        "x_points": (_parse_grid_size, "30", "conditioning grid size"),
-        "y_min": (float, "-4.0", "target grid start"),
-        "y_max": (float, "4.0", "target grid end"),
-        "y_points": (_parse_grid_size, "81", "target grid size"),
+        "head": (_choice("nf", "mdn", "gauss"), "nf", "likelihood head"),
+        **{k: _MODEL_KEYS[k] for k in ("n_stages", "n_components", "hidden", "sigma_w")},
+        "input_dim": (_POSITIVE_INT, "1", "conditioning dimension"),
+        "lambdas": (_swept(_NON_NEGATIVE), "1.0", "lambda values to sweep"),
+        "sigma_betas": (_swept(_NON_NEGATIVE), "1.0", "beta-hat prior stds to sweep"),
+        "seeds": (_swept(_COUNT), "0", "parameter-draw seeds to sweep"),
+        "x_min": (_FINITE, "-2.0", "conditioning grid start"),
+        "x_max": (_FINITE, "2.0", "conditioning grid end"),
+        "x_points": (_POSITIVE_INT, "30", "conditioning grid size"),
+        "y_min": (_FINITE, "-4.0", "target grid start"),
+        "y_max": (_FINITE, "4.0", "target grid end"),
+        "y_points": (_POSITIVE_INT, "81", "target grid size"),
         "out": (str, "prior", "output directory (under FLOWCDE_OUT)"),
     },
     "grid-search": None,  # train keys plus grid.<key> lists; filled below
     "gen-toy": {
-        "name": (str, "heteroscedastic-bimodal", "generator name"),
-        "n": (int, "5000", "number of rows"),
-        "seed": (int, "0", "generator seed"),
+        "name": (_choice(*TOY_GENERATORS), "heteroscedastic-bimodal", "generator name"),
+        "n": (_POSITIVE_INT, "5000", "number of rows"),
+        "seed": (_COUNT, "0", "generator seed"),
         "out": (str, "toy", "output directory (under FLOWCDE_OUT)"),
     },
 }
@@ -345,10 +356,6 @@ def _build_model(values, n_inputs, seed):
         noise_dim=values["noise_dim"],
     )
     arch = MLPArchitecture(n_inputs + head.extra_input_dim, values["hidden"], head.output_dim)
-    if values["mode"] not in ("fixed", "learned"):
-        raise ConfigError(f"mode must be fixed or learned, got {values['mode']!r}")
-    if values["sigma_q"] <= 0:
-        raise ConfigError(f"setting sigma_q={values['sigma_q']!r}: must be > 0")
     post = init_posterior(arch, seed=seed, sigma_init=values["sigma_q"], mode=values["mode"])
     prior = head.default_prior(values["sigma_w"], values["lambda"], values["sigma_beta"])
     net = BayesianMLP(arch, post, prior, head.group_map())
@@ -370,8 +377,6 @@ def _fit(values, meta):
     run that fails before its artifacts are written leaves no file behind."""
     data = _data_file(values, meta)
     targets = values["targets"]
-    if len(targets) not in (1, 2):
-        raise ConfigError("targets must name 1 or 2 columns")
     ds = _read_csv(data, values["features"], targets, values["cyclic"])
     format_names(ds.feature_names + targets)  # names the checkpoint can store
     (train_ds, valid_ds, test_ds), parts = split(ds, values["split"], values["split_seed"])
@@ -462,9 +467,7 @@ def cmd_eval(values, raw, meta):
 
 def cmd_sample(values, raw, meta):
     ckpt = load_checkpoint(_require(values, "checkpoint"))
-    if not values["condition"]:
-        raise ConfigError("setting 'condition' is required")
-    x_row = _normalize_condition(ckpt, _condition(ckpt, values["condition"]))
+    x_row = _normalize_condition(ckpt, _condition(ckpt, _require(values, "condition")))
     if np.isnan(x_row).any():
         raise ConfigError("sampling requires a fully specified condition")
     rng = np.random.default_rng(values["seed"])
@@ -606,8 +609,6 @@ def _heatmap_2d(values, ckpt, cond):
 
 
 def cmd_heatmap(values, raw, meta):
-    if not values["cap"] >= 0:
-        raise ConfigError(f"setting cap={values['cap']!r}: must be >= 0 (0 = uncapped)")
     ckpt = load_checkpoint(_require(values, "checkpoint"))
     cond = _condition(ckpt, values["condition"])
     draw = _heatmap_2d if ckpt.kind == "autoreg" else _heatmap_1d
@@ -623,10 +624,6 @@ def cmd_prior_sample(values, raw, meta):
         n_stages=values["n_stages"],
         n_components=values["n_components"],
     )
-    if head.extra_input_dim:
-        raise ConfigError(
-            f"head {head.name!r} takes noise inputs of its own; it has no prior visualization"
-        )
     arch = MLPArchitecture(values["input_dim"], values["hidden"], head.output_dim)
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
@@ -663,7 +660,6 @@ def cmd_grid_search(values, raw, meta):
         sub = {**base, **dict(combo), "out": str(Path(values["out"]) / f"combo_{idx:03d}")}
         overrides = [f"{k}={v}" for k, v in sub.items()]
         sub_values, sub_raw, _ = resolve_settings("train", None, overrides)
-        _train_config(sub_values)
         runs.append((combo, sub_values, sub_raw))
     out = _out_dir(values)
     results = []
@@ -741,7 +737,8 @@ def _build_parser():
             help="settings overriding the config file",
         )
         lines = [
-            f"  {k:<18} default {d!r:<12} {h}" for k, (_, d, h) in sorted(spec.items())
+            f"  {k:<18} default {d!r:<12} {h}" + (f"; {p.rule}" if hasattr(p, "rule") else "")
+            for k, (p, d, h) in sorted(spec.items())
         ]
         p.epilog = "settings:\n" + "\n".join(lines)
         p.formatter_class = argparse.RawDescriptionHelpFormatter

@@ -17,9 +17,11 @@ from hypothesis.extra.numpy import arrays
 
 from flowcde.autoreg import joint_log_density, sample_chain
 from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
+from flowcde import cli
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
 from flowcde.data import (
+    TOY_GENERATORS,
     apply_stats,
     denormalize_targets,
     encode_cyclic_hour,
@@ -113,6 +115,127 @@ def test_config_file_parser(tmp_path):
 
 def test_missing_config_file_is_config_error():
     assert run("train", "--config", "/nonexistent.cfg") == 2
+
+
+# -- the settings table -------------------------------------------------------------
+
+
+def _ints(**bounds):
+    return st.integers(**bounds).map(str)
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds).map(repr)
+
+
+_NEGATIVE = st.floats(max_value=-math.ulp(0.0), allow_infinity=False).map(repr)
+_NOT_A_NUMBER = st.sampled_from(["x", "1e", "nan", "inf", "-inf"])
+_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+
+
+def _join(items):
+    return ",".join(items)
+
+
+def _scalar(inside, *outside):
+    return inside, st.one_of(*outside, _NOT_A_NUMBER, st.just(""))
+
+
+def _list(item, min_size):
+    """(inside, outside) of a list whose items lie in `item`'s domain: the
+    outside has a bad item, or too few items."""
+    inside, bad = item
+    too_few = st.lists(inside, max_size=min_size - 1).map(_join) if min_size else st.nothing()
+    return (
+        st.lists(inside, min_size=min_size, max_size=3).map(_join),
+        st.tuples(st.lists(inside, max_size=2).map(_join), bad.filter(bool)).map(_join)
+        | too_few,
+    )
+
+
+def _choices(*names):
+    return st.sampled_from(names), st.text().filter(lambda s: s.strip() not in names)
+
+
+def _fractions(ab, excess=0.0):
+    """Three fractions >= 0 that sum to 1 + excess."""
+    a, b = ab[0], (1.0 - ab[0]) * ab[1]
+    return _join(map(repr, (a, b, 1.0 - a - b + excess)))
+
+
+_UNIT = st.floats(0.0, 1.0)
+_SPEC = cli.SETTINGS
+_COUNT = _scalar(_ints(min_value=0), _ints(max_value=-1), st.just("1.5"))
+_POSITIVE_INT = _scalar(_ints(min_value=1), _ints(max_value=0))
+_NON_NEGATIVE = _scalar(_floats(min_value=0.0), _NEGATIVE)
+# (inside, outside) values for every checking parser in cli.SETTINGS
+_DOMAINS = {
+    cli._COUNT: _COUNT,
+    cli._POSITIVE_INT: _POSITIVE_INT,
+    cli._FINITE: _scalar(_floats()),
+    cli._POSITIVE: _scalar(_floats(min_value=0.0, exclude_min=True), _floats(max_value=0.0)),
+    cli._NON_NEGATIVE: _NON_NEGATIVE,
+    cli._DECAY: _scalar(_floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                        _floats(min_value=1.0), _NEGATIVE),
+    cli._SPLIT: (
+        st.tuples(_UNIT, _UNIT).map(_fractions),
+        st.tuples(_UNIT, _UNIT).map(lambda ab: _fractions(ab, excess=2e-9))
+        | st.lists(_floats(min_value=0.0, max_value=1.0), max_size=5)
+        .filter(lambda f: len(f) != 3).map(_join)
+        | st.tuples(_UNIT, _UNIT, _UNIT).filter(lambda f: abs(sum(f) - 1.0) > 1e-9)
+        .map(lambda f: _join(map(repr, f)))
+        | st.floats(1e-6, 1.0).map(lambda a: _join(map(repr, (-a, 1.0 + a, 0.0))))
+        | st.sampled_from(["nan,0.5,0.5", "inf,0,0", "1", "0.5,0.5", "0.5,0.25,0.25,0"]),
+    ),
+    _SPEC["train"]["head"][0]: _choices("nf", "mdn", "lv", "gauss"),
+    _SPEC["train"]["mode"][0]: _choices("fixed", "learned"),
+    _SPEC["train"]["hidden"][0]: _list(_POSITIVE_INT, min_size=0),
+    _SPEC["train"]["targets"][0]: (
+        st.lists(_NAME, min_size=1, max_size=2).map(_join),
+        st.lists(_NAME, min_size=3, max_size=4).map(_join) | st.sampled_from(["", ","]),
+    ),
+    _SPEC["prior-sample"]["head"][0]: _choices("nf", "mdn", "gauss"),
+    _SPEC["prior-sample"]["seeds"][0]: _list(_COUNT, min_size=1),
+    _SPEC["prior-sample"]["lambdas"][0]: _list(_NON_NEGATIVE, min_size=1),
+    _SPEC["prior-sample"]["sigma_betas"][0]: _list(_NON_NEGATIVE, min_size=1),
+    _SPEC["gen-toy"]["name"][0]: _choices(*TOY_GENERATORS),
+}
+_CHECKED = [
+    (command, key, parser)
+    for command, spec in _SPEC.items()
+    for key, (parser, _, _) in spec.items()
+    if hasattr(parser, "rule")
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_each_setting_refuses_exactly_the_values_outside_its_domain(data):
+    for command in _SPEC:
+        resolve_settings(command, None, [])  # no default lies outside its own domain
+    assert {parser for _, _, parser in _CHECKED} <= _DOMAINS.keys()
+    parser = data.draw(st.sampled_from(list(dict.fromkeys(p for _, _, p in _CHECKED))))
+    command, key = data.draw(
+        st.sampled_from([(c, k) for c, k, p in _CHECKED if p is parser]), label="setting"
+    )
+    inside, outside = _DOMAINS[parser]
+    resolve_settings(command, None, [f"{key}={data.draw(inside, label='inside')}"])
+    with pytest.raises(ConfigError) as err:
+        resolve_settings(command, None, [f"{key}={data.draw(outside, label='outside')}"])
+    assert str(err.value).startswith(f"setting {key}=")
+
+
+def test_help_prints_each_settings_domain(capsys):
+    for command, spec in _SPEC.items():
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key, (parser, _, _) in spec.items():
+            line = next(line for line in lines if line.startswith(f"  {key:<18} default"))
+            assert "|" not in line  # each domain is the table's, not hand-written
+            if hasattr(parser, "rule"):
+                assert line.endswith(f"; {parser.rule}"), line
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -293,6 +416,24 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("heatmap-2d", "y_points=-1"),
         ("heatmap-2d", "y2_points=0"),
         ("heatmap-2d", "y2_points=-1"),
+        # each setting's domain is checked before the command runs
+        ("gen-toy", "seed=-1"),
+        ("train", "seed=-1"),
+        ("eval", "seed=-1"),
+        ("sample", "seed=-1"),
+        ("heatmap", "seed=-1"),
+        ("train", "split_seed=-1"),
+        ("prior-sample", "seeds=-1"),
+        ("prior-sample", "lambdas="),
+        ("prior-sample", "sigma_betas=-1"),
+        ("prior-sample", "head=lv"),
+        ("grid-search", "grid.sigma_q=0.01;0"),
+        ("grid-search", "grid.mode=fixed;bogus"),
+        ("grid-search", "grid.head=nf;bogus"),
+        ("grid-search", "grid.hidden=4;0"),
+        ("grid-search", "grid.seed=0;1 mc_test=0"),
+        ("train", "learning_rate=nan"),
+        ("heatmap", "x_min=nan"),
     ],
 )
 def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, command,
@@ -710,10 +851,6 @@ def test_prior_sample_zero_beta_gives_unit_gaussian_columns(tmp_path):
         cdf = np.concatenate([[0.0], np.cumsum(np.diff(y) * 0.5 * (p[1:] + p[:-1]))])
         gauss = 0.5 * (1.0 + np.vectorize(math.erf)((y - mu) / math.sqrt(2.0)))
         assert np.max(np.abs(cdf / mass - gauss)) < 0.01
-
-
-def test_prior_sample_rejects_lv_head(tmp_path):
-    assert run("prior-sample", "head=lv", f"out={tmp_path / 'x'}") == 2
 
 
 # -- grid-search --------------------------------------------------------------------
