@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.data import (apply_stats, normalize, normalize_features, normalize_targets,
                           toy_generator, toy_true_log_density, write_grid)
 from flowcde.heads import make_head
@@ -28,14 +27,6 @@ from flowcde.training import (
     predictive_log_density,
     train,
 )
-
-
-def build_model(head_name, hidden, sigma_q, seed):
-    head = make_head(head_name, n_stages=5, n_components=5, n_noise=5)
-    arch = MLPArchitecture(1 + head.extra_input_dim, hidden, head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode="fixed")
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    return CdeModel(net, head, head.init_extras())
 
 
 def main():
@@ -70,7 +61,8 @@ def main():
     results = {}
     for name in ("nf", "mdn", "lv", "gauss"):
         t0 = time.perf_counter()
-        model = build_model(name, (args.hidden,), 0.01, args.seed)
+        head = make_head(name, n_stages=5, n_components=5, n_noise=5)
+        model = CdeModel.build(head, 1, (args.hidden,), args.seed, 0.01)
         train(model, ntrain.x, ntrain.y[:, 0], cfg)
         ll = predictive_log_density(
             model, ntest.x, ntest.y[:, 0], args.mc_test, np.random.default_rng(1)

@@ -18,19 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from flowcde.autoreg import density_grid, fit_chain, grid_mass, top_decile_coverage
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.data import (apply_stats, denormalize_targets, normalize, normalize_features,
                           split, toy_generator, write_grid)
 from flowcde.heads import make_head
 from flowcde.training import CdeModel, TrainConfig
-
-
-def build_stage(n_inputs, seed, hidden):
-    head = make_head("nf", n_stages=2)
-    arch = MLPArchitecture(n_inputs, hidden, head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=0.01, mode="fixed")
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    return CdeModel(net, head, head.init_extras())
 
 
 def main():
@@ -56,8 +47,9 @@ def main():
         mc_samples_train=5,
         seed=args.seed,
     )
+    head = make_head("nf", n_stages=2)
     model, _ = fit_chain(
-        lambda n_inputs, seed: build_stage(n_inputs, seed, (args.hidden,)),
+        lambda n_inputs, seed: CdeModel.build(head, n_inputs, (args.hidden,), seed, 0.01),
         ntrain.x, ntrain.y, cfg, (0, 1), ("y1", "y2"),
     )
     print(f"trained both stages in {time.perf_counter() - t0:.0f}s")

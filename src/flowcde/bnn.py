@@ -21,7 +21,8 @@ lambda^2 at forward time only; priors, posteriors, and the KL term always
 see the unscaled weights, so lambda trades functional variability against
 nothing else.  Output units are partitioned into named groups, each with its
 own bias prior (mean, std) and a zero-mean weight prior of the same std;
-all earlier layers share the zero-mean sigma_w prior.
+all earlier layers share the zero-mean sigma_w prior.  The groups and their
+priors are the head's (``group_map()``, ``default_prior()``).
 
 One forward pass serves evaluation and training: written with the generic
 math of :mod:`flowcde.tape`, it runs on posterior arrays (``forward_np``) or
@@ -55,8 +56,6 @@ __all__ = [
     "TapeParams",
     "draw_eps",
     "init_posterior",
-    "nf_group_map",
-    "nf_prior",
     "prior_mean_std_vectors",
     "sample_prior_parameters",
     "prior_outputs",
@@ -202,34 +201,6 @@ class PriorConfig:
         for name, g in self.groups.items():
             if not isinstance(g, GroupPrior):
                 raise StructuralError(f"group {name!r} is not a GroupPrior")
-
-
-def nf_group_map(n_stages):
-    """Output-index groups for a flow head: interleaved stage params + shift."""
-    k = int(n_stages)
-    if k < 0:
-        raise StructuralError("n_stages must be >= 0")
-    return {
-        "alpha_hat": tuple(range(0, 3 * k, 3)),
-        "beta_hat": tuple(range(1, 3 * k, 3)),
-        "gamma": tuple(range(2, 3 * k, 3)),
-        "shift": (3 * k,),
-    }
-
-
-def nf_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
-    """Default flow-head prior: alpha_hat biases N(1,1), gamma and shift unit
-    normal, beta_hat std controlling non-Gaussianity."""
-    return PriorConfig(
-        sigma_w=sigma_w,
-        lambda_=lambda_,
-        groups={
-            "alpha_hat": GroupPrior(1.0, 1.0),
-            "beta_hat": GroupPrior(0.0, sigma_beta),
-            "gamma": GroupPrior(0.0, 1.0),
-            "shift": GroupPrior(0.0, 1.0),
-        },
-    )
 
 
 def _check_groups(arch, prior, output_groups):

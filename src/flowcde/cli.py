@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .autoreg import density_grid, fit_chain, joint_log_density, sample_chain
-from .bnn import BayesianMLP, MLPArchitecture, init_posterior, sample_prior_cde
+from .bnn import MLPArchitecture, sample_prior_cde
 from .checkpoint import Checkpoint, format_names, load_checkpoint, save_checkpoint
 from .data import (
     TOY_GENERATORS,
@@ -95,7 +95,8 @@ _POSITIVE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 _DECAY = _checked(float, "a number in [0, 1)", lambda v: 0 <= v < 1)
 _NAMES = _items(str)
-_CONDITION = _items(lambda t: math.nan if t == "?" else float(t))
+_CONDITION = _checked(_items(lambda t: math.nan if t == "?" else float(t)),
+                      "a list of finite numbers, nan or ?", lambda c: not any(map(math.isinf, c)))
 _SPLIT = _checked(_items(float), "three fractions >= 0 that sum to 1",  # data.split's rule
                   lambda f: len(f) == 3 and min(f) >= 0 and abs(sum(f) - 1.0) <= 1e-9)
 
@@ -347,19 +348,22 @@ def _train_config(values):
     )
 
 
-def _build_model(values, n_inputs, seed):
-    head = make_head(
-        values["head"],
-        n_stages=values["n_stages"],
-        n_components=values["n_components"],
-        n_noise=values["n_noise"],
-        noise_dim=values["noise_dim"],
-    )
-    arch = MLPArchitecture(n_inputs + head.extra_input_dim, values["hidden"], head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=values["sigma_q"], mode=values["mode"])
+def _head(values):
+    keys = ("n_stages", "n_components", "n_noise", "noise_dim")
+    return make_head(values["head"], **{k: values[k] for k in keys if k in values})
+
+
+def _prior(values, head):
+    """The head's default prior; training needs every group std > 0 (the KL
+    is undefined otherwise), and only sigma_beta can make one 0."""
     prior = head.default_prior(values["sigma_w"], values["lambda"], values["sigma_beta"])
-    net = BayesianMLP(arch, post, prior, head.group_map())
-    return CdeModel(net, head, head.init_extras())
+    flat = [name for name, g in prior.groups.items() if g.std <= 0]
+    if flat:
+        raise ConfigError(
+            f"setting sigma_beta={values['sigma_beta']!r}: must be > 0 with head {head.name}, "
+            f"whose prior then gives output group(s) {', '.join(flat)} a zero std"
+        )
+    return prior
 
 
 def _write_trace(path, traces):
@@ -375,6 +379,8 @@ def _fit(values, meta):
     """Load, split, normalize and train, then create the output directory and
     write the artifacts into it; returns (out, checkpoint, valid, test).  A
     run that fails before its artifacts are written leaves no file behind."""
+    head = _head(values)
+    prior = _prior(values, head)
     data = _data_file(values, meta)
     targets = values["targets"]
     ds = _read_csv(data, values["features"], targets, values["cyclic"])
@@ -382,7 +388,8 @@ def _fit(values, meta):
     (train_ds, valid_ds, test_ds), parts = split(ds, values["split"], values["split_seed"])
     norm_train, stats = normalize(train_ds)
     model, traces = fit_chain(
-        lambda n_inputs, seed: _build_model(values, n_inputs, seed),
+        lambda n_inputs, seed: CdeModel.build(head, n_inputs, values["hidden"], seed,
+                                              values["sigma_q"], values["mode"], prior),
         norm_train.x, norm_train.y, _train_config(values), values["order"], targets,
     )
     out = _out_dir(values)
@@ -619,11 +626,7 @@ def cmd_heatmap(values, raw, meta):
 
 
 def cmd_prior_sample(values, raw, meta):
-    head = make_head(
-        values["head"],
-        n_stages=values["n_stages"],
-        n_components=values["n_components"],
-    )
+    head = _head(values)
     arch = MLPArchitecture(values["input_dim"], values["hidden"], head.output_dim)
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
@@ -660,6 +663,7 @@ def cmd_grid_search(values, raw, meta):
         sub = {**base, **dict(combo), "out": str(Path(values["out"]) / f"combo_{idx:03d}")}
         overrides = [f"{k}={v}" for k, v in sub.items()]
         sub_values, sub_raw, _ = resolve_settings("train", None, overrides)
+        _prior(sub_values, _head(sub_values))
         runs.append((combo, sub_values, sub_raw))
     out = _out_dir(values)
     results = []

@@ -34,8 +34,6 @@ from .tape import expm1, log1p, softplus
 
 __all__ = [
     "constrain",
-    "stage_forward",
-    "stage_log_grad",
     "stage_apply",
     "log_density_params",
     "log_density_batch",
@@ -51,22 +49,13 @@ def constrain(alpha_hat, beta_hat):
     return softplus(alpha_hat), expm1(beta_hat)
 
 
-def stage_forward(z, alpha_hat, beta_hat, gamma):
-    """Apply one radial stage to z."""
-    return stage_apply(z, alpha_hat, beta_hat, gamma)[0]
+def stage_apply(z, alpha_hat, beta_hat, gamma):
+    """(f(z), log f'(z)) sharing the constrained parameters and radius.
 
-
-def stage_log_grad(z, alpha_hat, beta_hat, gamma):
-    """log f'(z) = log1p(beta * (alpha / (alpha + |z - gamma|))^2).
-
-    The ratio form makes the value at z == gamma exactly beta_hat up to one
+    log f'(z) = log1p(beta * r^2) with r = alpha / (alpha + |z - gamma|); the
+    ratio form makes its value at z == gamma exactly beta_hat up to one
     rounding of log1p(expm1(.)).
     """
-    return stage_apply(z, alpha_hat, beta_hat, gamma)[1]
-
-
-def stage_apply(z, alpha_hat, beta_hat, gamma):
-    """(f(z), log f'(z)) sharing the constrained parameters and radius."""
     alpha, beta = constrain(alpha_hat, beta_hat)
     d = z - gamma
     r = alpha / (alpha + abs(d))

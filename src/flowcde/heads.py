@@ -4,8 +4,8 @@ Every head exposes the same duck-typed surface, so no module outside this
 one branches on a head's name or type:
 
 - ``output_dim``: how many network outputs the head consumes per datum;
-- ``group_map()``: named partition of output indices (drives grouped priors);
-- ``default_prior(...)``: a reasonable PriorConfig for the head;
+- ``group_map()`` / ``default_prior(sigma_w, lambda_, sigma_beta)``: the
+  head's own named partition of its outputs and its PriorConfig over them;
 - ``n_extras`` / ``init_extras()``: trainable scalars owned by the head
   itself (the latent-variable and Gaussian heads carry a global observation
   noise parameter);
@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .bnn import GroupPrior, PriorConfig, nf_group_map, nf_prior
+from .bnn import GroupPrior, PriorConfig
 from .errors import ConfigError, StructuralError
 from .flows import LOG_2PI, log_density_params, sample
 from .tape import log, logsumexp, softplus, square
@@ -63,6 +63,14 @@ from .tape import log, logsumexp, softplus, square
 __all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head", "logsumexp"]
 
 _INV_SOFTPLUS_1 = math.log(math.expm1(1.0))  # softplus(x) = 1
+
+
+def _interleaved(names, k):
+    """Output groups of k interleaved triples, one index of each per name,
+    then a final shift output at index 3k."""
+    groups = {name: tuple(range(j, 3 * k, 3)) for j, name in enumerate(names)}
+    groups["shift"] = (3 * k,)
+    return groups
 
 
 def _per_target(a, y):
@@ -88,10 +96,14 @@ class NFHead:
         return {"n_stages": self.n_stages}
 
     def group_map(self):
-        return nf_group_map(self.n_stages)
+        return _interleaved(("alpha_hat", "beta_hat", "gamma"), self.n_stages)
 
     def default_prior(self, sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
-        return nf_prior(sigma_w, lambda_, sigma_beta)
+        """sigma_beta, the beta_hat std, sets how far from Gaussian a draw bends."""
+        unit = GroupPrior(0.0, 1.0)
+        groups = {"alpha_hat": GroupPrior(1.0, 1.0), "beta_hat": GroupPrior(0.0, sigma_beta),
+                  "gamma": unit, "shift": unit}
+        return PriorConfig(sigma_w, lambda_, groups)
 
     def init_extras(self):
         return np.empty(0)
@@ -135,17 +147,10 @@ class MDNHead:
         return {"n_components": self.n_components}
 
     def group_map(self):
-        c = self.n_components
-        return {
-            "mu": tuple(range(0, 3 * c, 3)),
-            "sigma_hat": tuple(range(1, 3 * c, 3)),
-            "logit": tuple(range(2, 3 * c, 3)),
-            "shift": (3 * c,),
-        }
+        return _interleaved(("mu", "sigma_hat", "logit"), self.n_components)
 
     def default_prior(self, sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
-        groups = {g: GroupPrior(0.0, 1.0) for g in ("mu", "sigma_hat", "logit", "shift")}
-        return PriorConfig(sigma_w, lambda_, groups)
+        return PriorConfig(sigma_w, lambda_, dict.fromkeys(self.group_map(), GroupPrior(0.0, 1.0)))
 
     def init_extras(self):
         return np.empty(0)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnn import TapeParams, draw_eps
+from .bnn import BayesianMLP, MLPArchitecture, TapeParams, draw_eps, init_posterior
 from .errors import NumericError, StructuralError
 from .heads import logsumexp
 from .tape import Tape, Var
@@ -110,6 +110,15 @@ class CdeModel:
                 f"head needs {self.head.output_dim} outputs, "
                 f"net has {self.net.arch.output_dim}"
             )
+
+    @classmethod
+    def build(cls, head, n_features, hidden, seed, sigma_q, mode="fixed", prior=None):
+        """``head`` on a fresh network of ``n_features`` feature inputs (plus
+        the head's own), under ``prior`` or else ``head.default_prior()``."""
+        arch = MLPArchitecture(n_features + head.extra_input_dim, hidden, head.output_dim)
+        post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode=mode)
+        prior = head.default_prior() if prior is None else prior
+        return cls(BayesianMLP(arch, post, prior, head.group_map()), head, head.init_extras())
 
     @property
     def n_features(self):

@@ -14,7 +14,6 @@ from flowcde.autoreg import (
     sample_chain,
     top_decile_coverage,
 )
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.data import toy_true_log_density
 from flowcde.errors import StructuralError
 from flowcde.heads import LVHead, NFHead
@@ -31,13 +30,10 @@ TWO_HALF_LOG_2PI = 1.8378770664093453
 
 
 def nf_model(in_dim, n_stages, sigma_q=0.2, seed=0, hidden=(6,), zero=False):
-    head = NFHead(n_stages)
-    arch = MLPArchitecture(in_dim, hidden, head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode="fixed")
+    model = CdeModel.build(NFHead(n_stages), in_dim, hidden, seed, sigma_q)
     if zero:
-        post = post.replace_from_vector(np.zeros(post.n_trainable))
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    return CdeModel(net, head, head.init_extras())
+        model.set_trainable(np.zeros(model.trainable_vector().size))
+    return model
 
 
 def autoreg(n_stages=0, sigma_q=1e-12, zero=True, order=(0, 1), hidden=(6,)):
@@ -50,11 +46,7 @@ def autoreg(n_stages=0, sigma_q=1e-12, zero=True, order=(0, 1), hidden=(6,)):
 
 def test_lv_stages_count_features_without_their_noise_inputs():
     def lv_model(in_dim, seed):
-        head = LVHead(n_noise=2, noise_dim=3)
-        arch = MLPArchitecture(in_dim + head.extra_input_dim, (4,), head.output_dim)
-        post = init_posterior(arch, seed=seed, sigma_init=0.1, mode="fixed")
-        net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-        return CdeModel(net, head, head.init_extras())
+        return CdeModel.build(LVHead(n_noise=2, noise_dim=3), in_dim, (4,), seed, 0.1)
 
     model = AutoregModel(lv_model(2, 0), lv_model(3, 1))
     assert model.n_features == 2 and model.stage2_features == 3

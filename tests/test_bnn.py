@@ -16,8 +16,6 @@ from flowcde.bnn import (
     VariationalPosterior,
     draw_eps,
     init_posterior,
-    nf_group_map,
-    nf_prior,
     prior_outputs,
     sample_prior_cde,
     sample_prior_parameters,
@@ -44,8 +42,10 @@ def small_net(
         post.sigma_q = sigma_q  # zero is legal post-init (deterministic nets)
     else:
         post = init_posterior(arch, seed, sigma_init=sigma_q, mode="learned")
-    group_map = group_map or nf_group_map((arch.output_dim - 1) // 3)
-    prior = PriorConfig(sigma_w, lambda_, groups) if groups else nf_prior(sigma_w, lambda_)
+    head = NFHead((arch.output_dim - 1) // 3)
+    group_map = group_map or head.group_map()
+    prior = PriorConfig(sigma_w, lambda_, groups) if groups else head.default_prior(
+        sigma_w, lambda_)
     return BayesianMLP(arch, post, prior, group_map)
 
 
@@ -93,12 +93,12 @@ def test_group_map_must_partition():
     arch = MLPArchitecture(2, (3,), 4)
     post = init_posterior(arch, 0)
     with pytest.raises(StructuralError):
-        BayesianMLP(arch, post, nf_prior(), {"shift": (0, 1, 2)})
+        BayesianMLP(arch, post, NFHead(1).default_prior(), {"shift": (0, 1, 2)})
     with pytest.raises(StructuralError):
-        BayesianMLP(arch, post, nf_prior(), {"a": (0, 1), "b": (1, 2, 3)})
+        BayesianMLP(arch, post, NFHead(1).default_prior(), {"a": (0, 1), "b": (1, 2, 3)})
     with pytest.raises(ConfigError):
         BayesianMLP(arch, post, PriorConfig(groups={"a": GroupPrior(0, 1)}),
-                    nf_group_map(1))
+                    NFHead(1).group_map())
 
 
 def test_init_posterior_properties():
@@ -175,7 +175,7 @@ def test_zero_variance_forward_equals_plain_mlp():
 def test_single_linear_unit_pre_activation():
     arch = MLPArchitecture(1, (), 1)
     post = VariationalPosterior(arch, np.array([1.0, 0.0]), sigma_q=0.0)
-    net = BayesianMLP(arch, post, nf_prior(), {"shift": (0,)})
+    net = BayesianMLP(arch, post, NFHead(1).default_prior(), {"shift": (0,)})
     eps = draw_eps(arch, np.random.default_rng(0), 1, 1)
     out = net.forward_np(np.array([[2.0]]), eps)
     assert out[0, 0, 0] == 2.0
@@ -339,7 +339,7 @@ def test_noiseless_forward_returns_one_equal_copy_per_draw():
 
 def test_kl_zero_iff_posterior_equals_prior():
     arch = MLPArchitecture(2, (3,), 4)
-    prior = nf_prior(sigma_w=0.7, sigma_beta=0.4)
+    prior = NFHead(1).default_prior(sigma_w=0.7, sigma_beta=0.4)
     net = small_net(arch=arch, mode="learned", groups=prior.groups, sigma_w=0.7)
     net.prior = prior
     mu_p, sd_p = net.prior_mean_std_vectors()
@@ -416,7 +416,7 @@ def test_kl_rejects_zero_stds():
 
 def test_prior_vectors_layout():
     arch = MLPArchitecture(2, (3,), 4)
-    prior = nf_prior(sigma_w=0.5, sigma_beta=2.0)
+    prior = NFHead(1).default_prior(sigma_w=0.5, sigma_beta=2.0)
     net = small_net(arch=arch, sigma_w=0.5, groups=prior.groups)
     net.prior = prior
     mu, sd = net.prior_mean_std_vectors()
@@ -430,8 +430,8 @@ def test_prior_vectors_layout():
 
 def test_sample_prior_parameters_formula():
     arch = MLPArchitecture(1, (2,), 4)
-    prior = nf_prior(sigma_w=0.3, lambda_=1.0, sigma_beta=0.7)
-    post = sample_prior_parameters(arch, prior, nf_group_map(1), seed=99)
+    prior = NFHead(1).default_prior(sigma_w=0.3, lambda_=1.0, sigma_beta=0.7)
+    post = sample_prior_parameters(arch, prior, NFHead(1).group_map(), seed=99)
     ws, bs = post.w_means, post.b_means
     net = small_net(arch=arch)
     net.prior = prior
@@ -445,11 +445,11 @@ def test_sample_prior_parameters_formula():
 
 def test_prior_cde_zero_beta_is_gaussian():
     arch = MLPArchitecture(1, (10,), 4)
-    prior = nf_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=0.0)
+    prior = NFHead(1).default_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=0.0)
     xg = np.linspace(-2, 2, 9)
     yg = np.linspace(-6, 6, 121)
     grid = sample_prior_cde(arch, prior, NFHead(1), 3, xg, yg)
-    post = sample_prior_parameters(arch, prior, nf_group_map(1), 3)
+    post = sample_prior_parameters(arch, prior, NFHead(1).group_map(), 3)
     omega = mlp_forward(post.w_means, post.b_means, xg.reshape(-1, 1), 1.0)
     for i in range(xg.size):
         want = np.exp(-0.5 * (np.log(2 * np.pi) + (yg - omega[i, 3]) ** 2))
@@ -479,14 +479,14 @@ def test_prior_draw_runs_the_network_pass_bit_for_bit_like_the_reference(name):
 def test_prior_vectors_need_a_partition_and_every_group_prior():
     arch = MLPArchitecture(1, (2,), 4)
     with pytest.raises(StructuralError, match="partition"):
-        sample_prior_parameters(arch, nf_prior(), {"shift": (3,)}, 0)
+        sample_prior_parameters(arch, NFHead(1).default_prior(), {"shift": (3,)}, 0)
     with pytest.raises(ConfigError, match="lacks"):
-        sample_prior_parameters(arch, PriorConfig(groups={}), nf_group_map(1), 0)
+        sample_prior_parameters(arch, PriorConfig(groups={}), NFHead(1).group_map(), 0)
 
 
 def test_prior_cde_columns_normalized():
     arch = MLPArchitecture(1, (10,), 7)
-    prior = nf_prior(sigma_w=1.0, lambda_=2.0, sigma_beta=1.0)
+    prior = NFHead(1).default_prior(sigma_w=1.0, lambda_=2.0, sigma_beta=1.0)
     xg = np.linspace(-2, 2, 5)
     yg = np.linspace(-12, 12, 2401)
     grid = sample_prior_cde(arch, prior, NFHead(2), 11, xg, yg)
@@ -499,8 +499,8 @@ def test_prior_cde_lambda_orders_output_spread():
     xg = np.linspace(-2, 2, 21)
     spreads = []
     for lam in (0.2, 2.0):
-        prior = nf_prior(sigma_w=1.0, lambda_=lam, sigma_beta=1.0)
-        post = sample_prior_parameters(arch, prior, nf_group_map(2), seed=7)
+        prior = NFHead(1).default_prior(sigma_w=1.0, lambda_=lam, sigma_beta=1.0)
+        post = sample_prior_parameters(arch, prior, NFHead(2).group_map(), seed=7)
         omega = mlp_forward(post.w_means, post.b_means, xg.reshape(-1, 1), lam)
         spreads.append(omega.std(axis=0))
     assert np.all(spreads[1] > spreads[0])

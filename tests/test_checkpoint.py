@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flowcde.autoreg import AutoregModel, joint_log_density
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.data import NormStats
 from flowcde.errors import DataError
@@ -13,11 +12,7 @@ from flowcde.training import CdeModel, predictive_log_density
 
 
 def build_model(name, mode="fixed", in_dim=2, seed=5, **head_kw):
-    head = make_head(name, **head_kw)
-    arch = MLPArchitecture(in_dim + head.extra_input_dim, (4, 3), head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=0.2, mode=mode)
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    model = CdeModel(net, head, head.init_extras())
+    model = CdeModel.build(make_head(name, **head_kw), in_dim, (4, 3), seed, 0.2, mode)
     rng = np.random.default_rng(seed + 1)
     vec = model.trainable_vector()
     model.set_trainable(vec + 0.3 * rng.standard_normal(vec.size))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowcde.autoreg import joint_log_density, sample_chain
-from flowcde.bnn import BayesianMLP, MLPArchitecture, init_posterior
 from flowcde import cli
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
@@ -199,6 +198,11 @@ _DOMAINS = {
     _SPEC["prior-sample"]["lambdas"][0]: _list(_NON_NEGATIVE, min_size=1),
     _SPEC["prior-sample"]["sigma_betas"][0]: _list(_NON_NEGATIVE, min_size=1),
     _SPEC["gen-toy"]["name"][0]: _choices(*TOY_GENERATORS),
+    cli._CONDITION: (
+        st.lists(_floats() | st.sampled_from(["nan", "?"]), max_size=3).map(_join),
+        st.tuples(st.lists(_floats(), max_size=2).map(_join),
+                  st.sampled_from(["inf", "-inf", "1e999", "x"])).map(_join),
+    ),
 }
 _CHECKED = [
     (command, key, parser)
@@ -434,6 +438,10 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("grid-search", "grid.seed=0;1 mc_test=0"),
         ("train", "learning_rate=nan"),
         ("heatmap", "x_min=nan"),
+        # the nf head's prior gives sigma_beta to beta_hat, so 0 leaves the KL undefined
+        ("train", "sigma_beta=0"),
+        ("grid-search", "grid.sigma_beta=1;0"),
+        ("sample", "condition=inf"),
     ],
 )
 def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, command,
@@ -457,6 +465,12 @@ def test_invalid_setting_value_exits_2(trained, toy, request, tmp_path, capsys, 
     assert err.startswith("config error: ")
     assert setting.split()[-1].partition("=")[0].removeprefix("grid.") in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("head", ["mdn", "lv", "gauss"])
+def test_sigma_beta_zero_trains_a_head_whose_prior_does_not_use_it(toy, tmp_path, head):
+    assert run("train", f"data={toy / 'data.csv'}", "features=x", f"head={head}", "hidden=4",
+               "iterations=2", "sigma_beta=0", f"out={tmp_path / 'x'}") == 0
 
 
 # -- gen-toy -----------------------------------------------------------------------
@@ -791,12 +805,8 @@ def test_heatmap_needs_exactly_one_swept_feature(trained, tmp_path):
 def test_identity_flow_median_is_the_shift(tmp_path):
     # zero posterior means with a stageless flow head leave the base normal
     # untouched, so the reported median must sit at zero on a symmetric grid
-    head = make_head("nf", n_stages=0)
-    arch = MLPArchitecture(1, (4,), head.output_dim)
-    post = init_posterior(arch, seed=0, sigma_init=1e-12)
-    post = post.replace_from_vector(np.zeros(post.to_vector().size))
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    model = CdeModel(net, head, head.init_extras())
+    model = CdeModel.build(make_head("nf", n_stages=0), 1, (4,), 0, 1e-12)
+    model.set_trainable(np.zeros(model.trainable_vector().size))
     ckpt_path = tmp_path / "ident.ckpt"
     save_checkpoint(ckpt_path, Checkpoint(model, None, ("x",), (), ("y",)))
     out = tmp_path / "hm"

@@ -19,9 +19,7 @@ from flowcde.flows import (
     log_density_params,
     sample,
     stage_apply,
-    stage_forward,
     stage_inverse,
-    stage_log_grad,
 )
 from flowcde.tape import Tape, Var, grad_check
 
@@ -67,9 +65,9 @@ def test_constrain_ranges():
 
 def test_zero_beta_is_identity():
     z = np.linspace(-4, 4, 41)
-    out = stage_forward(z, 0.7, 0.0, 0.3)
+    out = stage_apply(z, 0.7, 0.0, 0.3)[0]
     assert np.allclose(out, z, atol=0.0)
-    assert np.allclose(stage_log_grad(z, 0.7, 0.0, 0.3), 0.0, atol=0.0)
+    assert np.allclose(stage_apply(z, 0.7, 0.0, 0.3)[1], 0.0, atol=0.0)
 
 
 def test_log_grad_at_centre_equals_beta_hat():
@@ -77,15 +75,18 @@ def test_log_grad_at_centre_equals_beta_hat():
     bh = rng.normal(0.0, 2.0, size=1000)
     ah = rng.normal(1.0, 1.0, size=1000)
     g = rng.normal(0.0, 3.0, size=1000)
-    got = stage_log_grad(g, ah, bh, g)
+    got = stage_apply(g, ah, bh, g)[1]
     assert np.max(np.abs(got - bh)) < 1e-12
 
 
 def test_stage_apply_matches_separate_calls():
+    # each half against its closed form from the module docstring
     z = np.linspace(-3, 3, 17)
     z2, lg = stage_apply(z, 0.4, -0.9, 0.8)
-    assert np.allclose(z2, stage_forward(z, 0.4, -0.9, 0.8), rtol=1e-15)
-    assert np.allclose(lg, stage_log_grad(z, 0.4, -0.9, 0.8), rtol=1e-15)
+    alpha, beta = math.log1p(math.exp(0.4)), math.expm1(-0.9)
+    r = alpha / (alpha + np.abs(z - 0.8))
+    assert np.allclose(z2, z + alpha * beta * (z - 0.8) / (alpha + np.abs(z - 0.8)), rtol=1e-15)
+    assert np.allclose(lg, np.log1p(beta * r * r), rtol=1e-15)
 
 
 def test_log_density_frozen_references():
@@ -164,7 +165,7 @@ def test_tape_value_matches_numpy_value():
 
 
 def test_invert_stage_round_trip():
-    val = stage_forward(0.9, 0.5, 0.8, 0.3)
+    val = stage_apply(0.9, 0.5, 0.8, 0.3)[0]
     assert val == pytest.approx(1.3550366558737404, rel=1e-15)
     back = stage_inverse(val, 0.5, 0.8, 0.3)
     assert back == pytest.approx(0.9, abs=1e-12)
@@ -178,7 +179,7 @@ def test_invert_stage_extremes(bh):
         z = stage_inverse(t, ah, bh, g)
         assert np.isfinite(z) and z == pytest.approx(t, rel=1e-15)
     for z in (-2.0, 0.29, 0.8, 7.0):
-        t = stage_forward(z, ah, bh, g)
+        t = stage_apply(z, ah, bh, g)[0]
         assert stage_inverse(t, ah, bh, g) == pytest.approx(z, abs=1e-12)
 
 
@@ -236,7 +237,7 @@ def test_zero_stage_stack_is_pure_shift():
 
 
 def test_tape_stage_derivative_matches_log_grad():
-    # d stage_forward / dz on the tape agrees with exp(stage_log_grad)
+    # d f / dz on the tape agrees with exp(log f'), both from stage_apply
     rng = np.random.default_rng(21)
     for _ in range(25):
         ah, bh, g = rng.normal(size=3)
@@ -245,9 +246,9 @@ def test_tape_stage_derivative_matches_log_grad():
             continue
         t = Tape()
         z = Var(t, t.leaf(z0))
-        out = stage_forward(z, ah, bh, g)
+        out = stage_apply(z, ah, bh, g)[0]
         dz = t.backward(out.id)[z.id]
-        want = np.exp(stage_log_grad(z0, ah, bh, g))
+        want = np.exp(stage_apply(z0, ah, bh, g)[1])
         assert dz == pytest.approx(want, rel=1e-10)
 
 
@@ -257,13 +258,13 @@ def test_stage_forward_strictly_increasing(ah, bh, g, z1, z2):
     if abs(z1 - z2) < 1e-9:
         return
     lo, hi = sorted((z1, z2))
-    assert stage_forward(lo, ah, bh, g) < stage_forward(hi, ah, bh, g)
+    assert stage_apply(lo, ah, bh, g)[0] < stage_apply(hi, ah, bh, g)[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(finite_param, finite_param, finite_param, st.floats(-8.0, 8.0))
 def test_round_trip_property(ah, bh, g, z):
-    t = stage_forward(z, ah, bh, g)
+    t = stage_apply(z, ah, bh, g)[0]
     assert stage_inverse(t, ah, bh, g) == pytest.approx(z, abs=1e-10)
 
 
@@ -273,7 +274,7 @@ def test_log_grad_matches_finite_difference(ah, bh, g, z):
     if abs(z - g) < 1e-3:
         return  # kink of |.| breaks the symmetric difference
     h = 1e-6
-    fd = (stage_forward(z + h, ah, bh, g) - stage_forward(z - h, ah, bh, g)) / (2 * h)
+    fd = (stage_apply(z + h, ah, bh, g)[0] - stage_apply(z - h, ah, bh, g)[0]) / (2 * h)
     assert math.log(fd) == pytest.approx(
-        float(stage_log_grad(z, ah, bh, g)), abs=1e-4
+        float(stage_apply(z, ah, bh, g)[1]), abs=1e-4
     )

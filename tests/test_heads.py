@@ -56,15 +56,21 @@ def test_nf_head_zero_stages_is_gaussian():
     assert ld[0, 0] == pytest.approx(-0.9189385332046727, abs=1e-15)
 
 
-def test_nf_group_map_partitions():
-    head = NFHead(2)
-    gm = head.group_map()
-    assert gm == {
-        "alpha_hat": (0, 3),
-        "beta_hat": (1, 4),
-        "gamma": (2, 5),
-        "shift": (6,),
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_each_head_group_map_partitions_its_outputs_and_its_prior_names_each_group(name):
+    for k in (0, 1, 2) if name == "nf" else (1, 2):
+        head = make_head(name, n_stages=k, n_components=k, n_noise=3)
+        gm = head.group_map()
+        assert sorted(i for idx in gm.values() for i in idx) == list(range(head.output_dim))
+        assert head.default_prior().groups.keys() == gm.keys()
+        assert head.default_prior(sigma_beta=0.0).groups.keys() == gm.keys()
+    layouts = {
+        "nf": {"alpha_hat": (0, 3), "beta_hat": (1, 4), "gamma": (2, 5), "shift": (6,)},
+        "mdn": {"mu": (0, 3), "sigma_hat": (1, 4), "logit": (2, 5), "shift": (6,)},
+        "lv": {"mean": (0,)},
+        "gauss": {"mean": (0,)},
     }
+    assert make_head(name, n_stages=2, n_components=2).group_map() == layouts[name]
 
 
 def test_mdn_single_component_standard_normal():

@@ -29,6 +29,30 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(fh)["project"]["version"] == flowcde.__version__
 
 
+def test_only_the_heads_module_names_a_heads_output_groups():
+    # each head owns its output layout and prior, so no other module spells
+    # one of their group names outside a docstring
+    groups = {"alpha_hat", "beta_hat", "gamma", "shift", "mu", "sigma_hat", "logit", "mean"}
+    found = []
+    for path in sorted(Path(flowcde.__file__).parent.glob("*.py")):
+        if path.name == "heads.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        found += [
+            (path.name, node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in groups and id(node) not in docstrings
+        ]
+    assert not found
+
+
 def test_runtime_imports_are_numpy_and_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"numpy", "flowcde"}
     outside = []

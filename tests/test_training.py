@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcde.bnn import BayesianMLP, MLPArchitecture, draw_eps, init_posterior
+from flowcde.bnn import MLPArchitecture, draw_eps, init_posterior
 from flowcde.errors import NumericError, StructuralError
 from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.training import (
@@ -35,10 +35,7 @@ HALF_LOG_2PI = 0.9189385332046727
 
 
 def build_model(head, x_dim=2, hidden=(5,), mode="fixed", sigma_q=0.35, seed=3):
-    arch = MLPArchitecture(x_dim + head.extra_input_dim, hidden, head.output_dim)
-    post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode=mode)
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    return CdeModel(net, head, head.init_extras())
+    return CdeModel.build(head, x_dim, hidden, seed, sigma_q, mode)
 
 
 def small_batch(x_dim=2, n=3, seed=10):
@@ -86,16 +83,28 @@ def test_report_identity_is_exact():
     assert r.iteration == 7
 
 
+@pytest.mark.parametrize("mode", ["fixed", "learned"])
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_build_is_the_hand_recipe(name, mode):
+    head = make_head(name, n_stages=2, n_components=2, n_noise=3, noise_dim=2)
+    arch = MLPArchitecture(3 + head.extra_input_dim, (5, 4), head.output_dim)
+    post = init_posterior(arch, seed=11, sigma_init=0.2, mode=mode)
+    chosen = head.default_prior(0.7, 1.3, 0.4)
+    for prior, want in ((None, head.default_prior()), (chosen, chosen)):
+        model = CdeModel.build(head, 3, (5, 4), 11, 0.2, mode, prior)
+        assert model.net.arch == arch and model.head is head and model.n_features == 3
+        assert model.net.output_groups == head.group_map() and model.net.prior == want
+        assert model.net.posterior.mode == mode and model.net.posterior.sigma_q == post.sigma_q
+        assert np.array_equal(model.trainable_vector(),
+                              np.concatenate([post.to_vector(), head.init_extras()]))
+
+
 # -- free energy values ------------------------------------------------------
 
 
 def test_zero_stage_flow_nll_is_half_log_2pi_per_point():
-    head = NFHead(0)
-    arch = MLPArchitecture(1, (3,), 1)
-    post = init_posterior(arch, 0, sigma_init=1e-12, mode="fixed")
-    post = post.replace_from_vector(np.zeros(post.n_trainable))
-    net = BayesianMLP(arch, post, head.default_prior(), head.group_map())
-    model = CdeModel(net, head, head.init_extras())
+    model = CdeModel.build(NFHead(0), 1, (3,), 0, 1e-12)
+    model.set_trainable(np.zeros(model.trainable_vector().size))
     x = np.zeros((3, 1))
     y = np.zeros(3)
     r, _ = free_energy(model, x, y, 3, 4, np.random.default_rng(5))
