@@ -63,13 +63,14 @@ def main():
         dens = density_grid(model, xn, g1, g2, mc=10, rng=np.random.default_rng(7))
         mass = grid_mass(dens, g1, g2)
         sel = np.abs(test_ds.x[:, 0] - x0) <= 0.05
-        cov = top_decile_coverage(dens, g1, g2, ntest.y[sel])
-        covered += cov * sel.sum()
-        total += sel.sum()
-        print(
-            f"x={x0:.2f}: quadrature mass {mass:.4f}, "
-            f"top-decile coverage {cov:.3f} over {sel.sum()} held-out points"
-        )
+        if sel.any():
+            cov = top_decile_coverage(dens, g1, g2, ntest.y[sel])
+            covered += cov * sel.sum()
+            total += sel.sum()
+            report = f"top-decile coverage {cov:.3f} over {sel.sum()} held-out points"
+        else:
+            report = "no held-out points within 0.05"
+        print(f"x={x0:.2f}: quadrature mass {mass:.4f}, {report}")
         path = args.out / f"density_x{x0:g}.csv"
         with open(path, "w") as fh:
             fh.write("y1,y2,density\n")
@@ -79,7 +80,8 @@ def main():
                 denormalize_targets(stats, g2, 1),
                 dens / (stats.y_std[0] * stats.y_std[1]),
             )
-    print(f"pooled top-decile coverage: {covered / total:.3f}")
+    pooled = f"{covered / total:.3f}" if total else "n/a"
+    print(f"pooled top-decile coverage: {pooled}")
     print(f"density grids written to {args.out}")
 
 

@@ -192,11 +192,13 @@ def _nearest_index(grid, values):
 def top_decile_coverage(dens, grid_first, grid_second, points):
     """Fraction of points landing in the top 10% highest-density grid cells.
 
-    points are (N, 2) in the same axis order as the grid.
+    points are (N, 2) in the same axis order as the grid, N >= 1.
     """
     g1 = np.asarray(grid_first, dtype=float).reshape(-1)
     g2 = np.asarray(grid_second, dtype=float).reshape(-1)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        raise StructuralError("need at least one point")
     thr = np.quantile(dens, 0.9)
     i = _nearest_index(g1, pts[:, 0])
     j = _nearest_index(g2, pts[:, 1])

@@ -22,11 +22,12 @@ noise array per layer of shape (mc, 1, units) once per call, and every row
 shares it: each row still sees i.i.d. standard-normal noise, so its
 predictive estimate has the distribution a per-row draw gives, and for heads
 without noise inputs a one-row call keeps the digits of a per-row draw; rows
-now share one Monte Carlo error.  Rows are then scored in blocks of at most BLOCK_DRAW_CELLS
-draws x target cells x head rows per datum, each block drawing its own head
-noise, blocks in file order.  The constant only bounds memory: outside the
-head noise, a row's value depends on its block only through the row count
-of a matrix product.
+now share one Monte Carlo error.  Rows are then scored in blocks of
+_block_rows rows (at most BLOCK_DRAW_CELLS draws x head rows x target cells
+and BLOCK_DRAW_UNITS draws x head rows x widest-layer units, but at least
+one), each block drawing its own head noise, blocks in file order.  The
+constants only bound memory: outside the head noise, a row's value depends
+on its block only through the row count of a matrix product.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .heads import logsumexp
 from .tape import Tape, Var
 
 BLOCK_DRAW_CELLS = 1 << 14  # draw x cell budget of one prediction block
+BLOCK_DRAW_UNITS = 1 << 17  # draw x unit budget: 1 MiB per float64 layer array
 
 __all__ = [
     "BLOCK_DRAW_CELLS",
+    "BLOCK_DRAW_UNITS",
     "TrainConfig",
     "FreeEnergyReport",
     "CdeModel",
@@ -272,10 +275,20 @@ def train(model, x, y, cfg):
     return trace
 
 
+def _block_rows(model, mc, cells):
+    """Rows per prediction block of mc draws over ``cells`` targets a row:
+    the most whose (mc, head rows, cells) and (mc, head rows, units of the
+    widest non-input layer) arrays fit both budgets, and at least one."""
+    per_row = mc * model.head.rows_per_datum
+    units = max(model.net.arch.widths[1:])
+    return max(1, min(BLOCK_DRAW_CELLS // (per_row * cells),
+                      BLOCK_DRAW_UNITS // (per_row * units)))
+
+
 def _predictive_blocks(model, x, y, mc, rng):
     """Log posterior-predictive densities, log-mean-exp'd over mc draws, of
     targets y (B,) -> (B,) or of a grid y (B, G) -> (B, G), scored in row
-    blocks of at most BLOCK_DRAW_CELLS draw x cells.
+    blocks of _block_rows rows.
 
     The rng first draws the activation noise every row shares, then each
     block's head noise in one _log_density_draws call, blocks in file order.
@@ -287,7 +300,7 @@ def _predictive_blocks(model, x, y, mc, rng):
     cells = 1 if y.ndim == 1 else y.shape[1]
     if cells == 0:
         raise StructuralError("target grid must be non-empty")
-    step = max(1, BLOCK_DRAW_CELLS // (mc * cells * model.head.rows_per_datum))
+    step = _block_rows(model, mc, cells)
     shared = draw_eps(model.net.arch, rng, mc, 1)
     return np.concatenate([
         logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared),

@@ -201,6 +201,8 @@ def test_top_decile_geometry():
     cov = top_decile_coverage(dens, g, g, np.array([[0.5, 0.5]]))
     assert cov == 1.0
     assert top_decile_coverage(dens, g, g, np.array([[5.0, 5.0]])) == 0.0
+    with pytest.raises(StructuralError, match="at least one point"):
+        top_decile_coverage(dens, g, g, np.empty((0, 2)))
 
 
 def test_factorized_truth_gives_matching_conditional_slices():

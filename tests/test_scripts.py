@@ -28,6 +28,7 @@ def test_script_writes_finite_grids(tmp_path, script, args, grids):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "nan" not in proc.stdout and "RuntimeWarning" not in proc.stderr, proc.stdout
     for name in grids:
         table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
         assert table.shape[1] == 3 and table.shape[0] > 1

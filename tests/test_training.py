@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcde import training
 from flowcde.bnn import MLPArchitecture, draw_eps, init_posterior
 from flowcde.errors import NumericError, StructuralError
 from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.training import (
     BLOCK_DRAW_CELLS,
+    BLOCK_DRAW_UNITS,
     AdamState,
     CdeModel,
     FreeEnergyReport,
@@ -448,9 +450,8 @@ def _predict(model, x, y, grid, mc, rng):
     return predictive_curve(model, x, grid, mc, rng)
 
 
-def _block_rows(head, mc, grid):
-    width = 1 if grid is None else grid.size
-    return max(1, BLOCK_DRAW_CELLS // (mc * width * head.rows_per_datum))
+def _block_rows(model, mc, grid):
+    return training._block_rows(model, mc, 1 if grid is None else grid.size)
 
 
 def _targets(y, grid, n):
@@ -466,7 +467,7 @@ def test_three_block_call_equals_three_one_block_calls(name, curve):
     model = build_model(head, mode="learned", seed=6)
     mc = 64
     grid = np.linspace(-2.0, 2.0, 32) if curve else None
-    step = _block_rows(head, mc, grid)
+    step = _block_rows(model, mc, grid)
     n = 2 * step + step // 2 + 1  # two full blocks and a partial one
     x, y = small_batch(n=n, seed=12)
     targets = _targets(y, grid, n)
@@ -492,7 +493,7 @@ def test_one_block_call_is_one_log_mean_exp_of_the_draws(name, curve):
     model = build_model(head, mode="learned", seed=7)
     mc = 20
     grid = np.linspace(-3.0, 3.0, 41) if curve else None
-    n = _block_rows(head, mc, grid)  # exactly one full block
+    n = _block_rows(model, mc, grid)  # exactly one full block
     x, y = small_batch(n=n, seed=13)
     got = _predict(model, x, y, grid, mc, np.random.default_rng(5))
     rng = np.random.default_rng(5)
@@ -562,7 +563,7 @@ def test_noisy_rows_score_as_if_alone(name, mode, sigma_q, n, mc, width, seed):
     head = make_head(name, n_stages=2, n_components=2)
     model = build_model(head, mode=mode, sigma_q=sigma_q, seed=seed % 7)
     grid = np.linspace(-2.0, 2.0, width) if width else None
-    assert _block_rows(head, mc, grid) < n  # at least two blocks
+    assert _block_rows(model, mc, grid) < n  # at least two blocks
     x, y = small_batch(n=n, seed=seed)
     whole = _predict(model, x, y, grid, mc, np.random.default_rng(seed))
     alone = np.concatenate([
@@ -570,6 +571,56 @@ def test_noisy_rows_score_as_if_alone(name, mode, sigma_q, n, mc, width, seed):
         for i in range(n)
     ])
     np.testing.assert_allclose(whole, alone, rtol=1e-12, atol=1e-12)
+
+
+# -- blocked prediction: the block rule -------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+@pytest.mark.parametrize("mc", [20, 3000])
+def test_every_block_fits_both_budgets_or_holds_one_row(monkeypatch, name, curve, mc):
+    # at hidden 50 the units budget cuts target blocks and the cells budget
+    # cuts grid blocks; at mc 3000 the units budget admits no row, so every
+    # block holds one
+    head = make_head(name, n_stages=5, n_components=3, n_noise=3)
+    model = build_model(head, x_dim=1, hidden=(50,), mode="learned", seed=2)
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    cells, per_row = (1 if grid is None else grid.size), mc * head.rows_per_datum
+    units = max(model.net.arch.widths[1:])
+    n = 2 * _block_rows(model, mc, grid) + 1
+    blocks = []
+
+    def spy(model, x, *args, **kwargs):
+        blocks.append(x.shape[0])
+        return _log_density_draws(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_log_density_draws", spy)
+    x, y = small_batch(x_dim=1, n=n, seed=15)
+    out = _predict(model, x, y, grid, mc, np.random.default_rng(3))
+    assert len(blocks) == 3 and sum(blocks) == n and np.isfinite(out).all()
+    for rows in blocks:
+        assert rows == 1 or (rows <= BLOCK_DRAW_UNITS // (per_row * units)
+                             and rows <= BLOCK_DRAW_CELLS // (per_row * cells))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+@pytest.mark.parametrize("x_dim", [1, 2])
+def test_the_units_budget_moves_values_by_rounding_only(monkeypatch, name, curve, x_dim):
+    # the budget sets only each block's row count, which reaches a value
+    # through a matrix product's summation order
+    head = make_head(name, n_stages=5, n_components=3, n_noise=3)
+    model = build_model(head, x_dim=x_dim, hidden=(50,), mode="learned", seed=4)
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    x, y = small_batch(x_dim=x_dim, n=150, seed=16)
+    runs = []
+    for budget in (10**9, BLOCK_DRAW_UNITS, 1 << 11):
+        monkeypatch.setattr(training, "BLOCK_DRAW_UNITS", budget)
+        runs.append(_predict(model, x, y, grid, 20, np.random.default_rng(5)))
+    assert np.isfinite(runs[0]).all()
+    for other in runs[1:]:
+        np.testing.assert_allclose(other, runs[0], rtol=1e-13, atol=0)
 
 
 def _peak_bytes(model, x, y):
@@ -583,12 +634,24 @@ def _peak_bytes(model, x, y):
 
 def test_predictive_memory_does_not_grow_with_rows():
     model = build_model(NFHead(5), x_dim=1, hidden=(50,), sigma_q=0.1)
-    assert _block_rows(model.head, 20, None) < 4000  # both calls span several blocks
+    assert _block_rows(model, 20, None) < 4000  # both calls span several blocks
     rng = np.random.default_rng(9)
     x, y = rng.standard_normal((40_000, 1)), rng.standard_normal(40_000)
     small = _peak_bytes(model, x[:4000], y[:4000])
     large = _peak_bytes(model, x, y)
     assert large <= 1.25 * small
+
+
+def test_predictive_memory_peak_is_a_few_blocks():
+    # 20 000 rows at mc 20 and hidden 50: the units budget keeps each
+    # (mc, rows, units) array within 1 MiB, where an 819-row block's took 6.5 MB
+    model = build_model(NFHead(5), x_dim=1, hidden=(50,), sigma_q=0.1)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((20_000, 1)), rng.standard_normal(20_000)
+    small = _peak_bytes(model, x[:5000], y[:5000])
+    large = _peak_bytes(model, x, y)
+    assert large < 4_000_000  # 15.5 MB with blocks sized by draws x cells alone
+    assert large - small < 1_000_000
 
 
 # -- invariants ----------------------------------------------------------------
