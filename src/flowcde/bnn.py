@@ -34,13 +34,17 @@ passes a broadcast view of a (mc, 1, units) array, so each row's marginal is
 unchanged, and a one-row call keeps the digits of a per-row draw.  Layer
 0's input is the same for every draw, so its pre-activation mean and
 variance are computed once per row, as (batch, units) arrays, and reach
-(mc, batch, units) only when its noise is added.
+(mc, batch, units) only when its noise is added.  A prediction call hands
+every block's pass one Workspace, whose buffers take each layer's arrays in
+place of fresh ones; the tape always gets fresh arrays, since its VJPs keep
+the forward values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add, matmul, mul
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "PriorConfig",
     "BayesianMLP",
     "TapeParams",
+    "Workspace",
     "draw_eps",
     "init_posterior",
     "prior_mean_std_vectors",
@@ -291,13 +296,16 @@ class BayesianMLP:
 
     # -- forward passes ----------------------------------------------------
 
-    def forward_np(self, x, eps):
+    def forward_np(self, x, eps, work=None):
         """Vectorised local-reparameterization pass.
 
         x is (batch, input_dim); eps a per-layer list of (mc, batch, units)
-        standard-normal draws.  Returns (mc, batch, output_dim).
+        standard-normal draws.  Returns (mc, batch, output_dim).  With a
+        Workspace, every layer array, the result included, is written into
+        its buffers, so the result is only valid until the next pass given
+        that workspace.
         """
-        return self._forward(x, eps, self.posterior)
+        return self._forward(x, eps, self.posterior, work)
 
     def forward_tape(self, tape, params, x, eps):
         """forward_np recorded on a tape, a few nodes per layer.
@@ -309,41 +317,87 @@ class BayesianMLP:
         """
         return self._forward(x, eps, params)
 
-    def _forward(self, x, eps, p):
+    def _forward(self, x, eps, p, work=None):
         """The pass itself; ``p`` is a VariationalPosterior (arrays) or a
         TapeParams (Vars), which share attribute names.  Layer 0 works per
         row (see the module docstring); a noiseless pass (sigma_q = 0) adds
         no noise, so its (rows, out) result is copied once per draw at the end.
+
+        Each step is ``put(layer, role, op, *args)``: ``op(*args)`` as a new
+        array or tape node, or, given a Workspace, written into its (layer,
+        role) buffer.  Roles: "a" the pre-activation mean, "spread" its
+        variance and then that variance's root, "h" the noise product, then
+        the noisy pre-activation and the activation.  The squared input
+        overwrites the input, the previous layer's "h" buffer, which nothing
+        reads after it; layer 0's input is the caller's x, so it squares into
+        a (-1, "h") buffer of its own.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise StructuralError(f"x must be (batch, {self.arch.input_dim}), got {x.shape}")
+        put = _fresh if work is None else work
         last = self.arch.n_layers - 1
         h = x
         for layer in range(self.arch.n_layers):
-            a = h @ p.w_means[layer]
-            if p.w_logvars is not None:
-                spread = (h * h) @ exp(p.w_logvars[layer])
-            elif p.sigma_q > 0.0:
-                spread = (h * h).sum(axis=-1, keepdims=True)
-            else:
-                spread = None  # sigma_q = 0: noiseless, and no NaN from sqrt'(0) on a tape
+            a = put(layer, "a", matmul, h, p.w_means[layer])
+            spread = None  # sigma_q = 0: noiseless, and no NaN from sqrt'(0) on a tape
+            if p.w_logvars is not None or p.sigma_q > 0.0:
+                with np.errstate(over="ignore"):  # a far-out input: inf spread saturates the tanh
+                    hh = put(layer - 1, "h", mul, h, h)  # in place over h (see above)
+                    spread = (put(layer, "spread", matmul, hh, exp(p.w_logvars[layer]))
+                              if p.w_logvars is not None else hh.sum(axis=-1, keepdims=True))
             if layer == last:  # lambda scales the hidden-to-output weights only
                 lam = self.prior.lambda_
-                a = lam * a
+                a = put(layer, "a", mul, lam, a)
                 if spread is not None:
-                    spread = lam * lam * spread
-            a = a + p.b_means[layer]
+                    spread = put(layer, "spread", mul, lam * lam, spread)
+            a = put(layer, "a", add, a, p.b_means[layer])
             if spread is not None:
                 if p.w_logvars is not None:
-                    var_pre = spread + exp(p.b_logvars[layer])
+                    var_pre = put(layer, "spread", add, spread, exp(p.b_logvars[layer]))
                 else:
                     var_pre = p.sigma_q**2 * (spread + 1.0)
-                a = a + eps[layer] * sqrt(var_pre)
-            h = tanh(a) if layer != last else a
+                noise = put(layer, "h", mul, eps[layer], put(layer, "spread", sqrt, var_pre))
+                a = put(layer, "h", add, a, noise)
+            h = put(layer, "h", tanh, a) if layer != last else a
         if spread is None:
             h = h * np.ones((eps[0].shape[0], 1, 1))
         return h
+
+
+def _fresh(layer, role, op, *args):
+    """``op(*args)`` in a new array, or a new node on a tape."""
+    return op(*args)
+
+
+_UFUNCS = {matmul: np.matmul, mul: np.multiply, add: np.add, tanh: np.tanh, sqrt: np.sqrt}
+
+
+class Workspace:
+    """Buffers that the NumPy passes of one prediction call write into.
+
+    One buffer per (layer, role), allocated by the first pass that asks for
+    it: the call's first block, its largest.  A later pass with fewer rows
+    writes into a contiguous view of the buffer's first elements.  Reusing
+    the buffers keeps a call's working set resident from block to block,
+    where fresh arrays were handed back to the system after each block and
+    faulted in again by the next.  Values are the fresh arrays' bit for bit.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, layer, role, op, *args):
+        """``op(*args)`` written into the (layer, role) buffer."""
+        if op is matmul:
+            shape = args[0].shape[:-1] + args[1].shape[-1:]
+        else:
+            shape = np.broadcast_shapes(*(np.shape(arg) for arg in args))
+        size = math.prod(shape)
+        buf = self._buffers.get((layer, role))
+        if buf is None or buf.size < size:
+            buf = self._buffers[layer, role] = np.empty(size)
+        return _UFUNCS[op](*args, out=buf[:size].reshape(shape))
 
 
 class TapeParams:

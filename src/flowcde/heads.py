@@ -177,7 +177,8 @@ class MDNHead:
         sigma = softplus(sig_hat)
         y = np.asarray(y, dtype=float)[..., None]
         # (y - s) first: shift equivariance then holds bit-exactly
-        comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square(((y - s) - mu) / sigma)
+        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
+            comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square(((y - s) - mu) / sigma)
         return logsumexp(logit + comp) - logsumexp(logit)
 
     def curve_log_density(self, omega_rows, extras, y_grid):
@@ -251,7 +252,8 @@ class LVHead(_MeanHead):
         means = _per_target(omega[..., 0].reshape(mc, b, k), y)
         sigma = softplus(extras[0])
         y = np.asarray(y, dtype=float)[..., None]
-        comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - means) / sigma)
+        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
+            comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - means) / sigma)
         return logsumexp(comp) - math.log(k)
 
     def curve_log_density(self, omega_rows, extras, y_grid):
@@ -288,7 +290,8 @@ class GaussHead(_MeanHead):
         mean = _per_target(omega[..., 0], y)
         sigma = softplus(extras[0])
         y = np.asarray(y, dtype=float)
-        return -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - mean) / sigma)
+        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
+            return -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - mean) / sigma)
 
     def curve_log_density(self, omega_rows, extras, y_grid):
         return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]

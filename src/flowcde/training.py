@@ -27,7 +27,10 @@ _block_rows rows (at most BLOCK_DRAW_CELLS draws x head rows x target cells
 and BLOCK_DRAW_UNITS draws x head rows x widest-layer units, but at least
 one), each block drawing its own head noise, blocks in file order.  The
 constants only bound memory: outside the head noise, a row's value depends
-on its block only through the row count of a matrix product.
+on its block only through the row count of a matrix product.  Each call
+makes one bnn.Workspace: every block's forward pass writes its layer arrays
+into the same buffers, sized by the first block, and the workspace is
+dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bnn import BayesianMLP, MLPArchitecture, TapeParams, draw_eps, init_posterior
+from .bnn import BayesianMLP, MLPArchitecture, TapeParams, Workspace, draw_eps, init_posterior
 from .errors import NumericError, StructuralError
 from .heads import logsumexp
 from .tape import Tape, Var
@@ -185,14 +188,15 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
-def _log_density_draws(model, x, y, mc, rng, shared_eps=None):
+def _log_density_draws(model, x, y, mc, rng, shared_eps=None, work=None):
     """(mc, B) log densities of targets y (B,), or (mc, B, G) of a grid
     y (B, G), under mc network draws at feature rows x (B, d).
 
     The rng draws the head's input augmentation, then one activation noise
     array per layer, in the order free_energy draws them.  With shared_eps,
     a per-layer list of (mc, 1, units) draws, every row reads that noise
-    instead and the rng draws only the head's.
+    instead and the rng draws only the head's.  ``work`` is the forward
+    pass's Workspace, if any.
     """
     net, head = model.net, model.head
     rows, _ = head.prepare_inputs(x, rng)
@@ -200,7 +204,7 @@ def _log_density_draws(model, x, y, mc, rng, shared_eps=None):
         eps = draw_eps(net.arch, rng, mc, rows.shape[0])
     else:
         eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared_eps]
-    return head.log_density_rows_np(net.forward_np(rows, eps), y, model.extras)
+    return head.log_density_rows_np(net.forward_np(rows, eps, work), y, model.extras)
 
 
 def free_energy_value(model, x, y, n_total, mc, rng):
@@ -292,6 +296,8 @@ def _predictive_blocks(model, x, y, mc, rng):
 
     The rng first draws the activation noise every row shares, then each
     block's head noise in one _log_density_draws call, blocks in file order.
+    Every block's forward pass writes into one Workspace, made here and
+    dropped on return.
     """
     if mc < 1:
         raise StructuralError(f"mc must be >= 1, got {mc}")
@@ -302,9 +308,10 @@ def _predictive_blocks(model, x, y, mc, rng):
         raise StructuralError("target grid must be non-empty")
     step = _block_rows(model, mc, cells)
     shared = draw_eps(model.net.arch, rng, mc, 1)
+    work = Workspace()
     return np.concatenate([
-        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared),
-                  axis=0, mean=True)
+        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared,
+                                     work), axis=0, mean=True)
         for i in range(0, x.shape[0], step)
     ])
 

@@ -2,9 +2,14 @@
 random numbers), Adam, and the training loop."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcde import training
-from flowcde.bnn import MLPArchitecture, draw_eps, init_posterior
+from flowcde.autoreg import AutoregModel, joint_log_density
+from flowcde.bnn import BayesianMLP, MLPArchitecture, draw_eps, init_posterior
 from flowcde.errors import NumericError, StructuralError
 from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
 from flowcde.training import (
@@ -373,7 +379,7 @@ def test_model_sample_rejects_non_finite_draws(name):
     model = build_model(make_head(name, n_stages=1, n_components=2, n_noise=3))
     model.set_trainable(np.full(model.trainable_vector().size, np.nan))
     for x in (np.zeros(2), np.zeros((4, 2))):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="invalid value"):
             model_sample(model, x, 4, 3, np.random.default_rng(0))
 
 
@@ -652,6 +658,98 @@ def test_predictive_memory_peak_is_a_few_blocks():
     large = _peak_bytes(model, x, y)
     assert large < 4_000_000  # 15.5 MB with blocks sized by draws x cells alone
     assert large - small < 1_000_000
+
+
+# -- blocked prediction: the workspace ---------------------------------------------
+
+
+def _without_workspace(monkeypatch):
+    """Make every forward_np call take fresh arrays, as the tape path does."""
+    monkeypatch.setattr(BayesianMLP, "forward_np",
+                        lambda self, x, eps, work=None: self._forward(x, eps, self.posterior))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+@pytest.mark.parametrize("mode", ["fixed", "learned"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+def test_workspace_pass_is_bit_identical_to_fresh_arrays(monkeypatch, name, mode, curve):
+    # two hidden layers square each one's input over the layer before; a
+    # lambda other than 1 runs the output layer's in-place scaling; the row
+    # counts give one row, one full block, a full and a one-row block, and
+    # three blocks whose last is one row short
+    head = make_head(name, n_stages=5, n_components=3, n_noise=3)
+    model = CdeModel.build(head, 1, (50, 20), 2, 0.2, mode, head.default_prior(lambda_=0.7))
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    step = _block_rows(model, 20, grid)
+    counts = (1, step, step + 1, 3 * step - 1)
+    x, y = small_batch(x_dim=1, n=counts[-1], seed=17)
+    with_work = [_predict(model, x[:n], y[:n], grid, 20, np.random.default_rng(n))
+                 for n in counts]
+    _without_workspace(monkeypatch)
+    for n, got in zip(counts, with_work):
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, _predict(model, x[:n], y[:n], grid, 20,
+                                            np.random.default_rng(n)))
+
+
+def test_workspace_joint_density_is_bit_identical_to_fresh_arrays(monkeypatch):
+    head = NFHead(3)
+    stages = [CdeModel.build(head, d, (50,), 5 + d, 0.2, "learned") for d in (1, 2)]
+    model = AutoregModel(*stages)
+    step = _block_rows(stages[0], 20, None)
+    x, y = small_batch(x_dim=1, n=2 * step + 7, seed=18)
+    ys = np.column_stack([y, y[::-1]])
+    got = joint_log_density(model, x, ys, 20, np.random.default_rng(3))
+    _without_workspace(monkeypatch)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, joint_log_density(model, x, ys, 20, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+def test_prediction_writes_no_array_it_returned_before(name):
+    # model_sample takes no workspace, and each prediction call its own
+    head = make_head(name, n_stages=2, n_components=2, n_noise=3)
+    model = build_model(head, x_dim=1, hidden=(50,), mode="learned")
+    x, y = small_batch(x_dim=1, n=300, seed=19)
+    draws = [model_sample(model, np.zeros(1), 50, 20, np.random.default_rng(1)),
+             model_sample(model, x[:50], 50, 20, np.random.default_rng(2))]
+    first = predictive_log_density(model, x, y, 20, np.random.default_rng(3))
+    kept = [a.copy() for a in (*draws, first)]
+    predictive_log_density(model, x[::-1], y, 20, np.random.default_rng(4))
+    predictive_curve(model, x, np.linspace(-2.0, 2.0, 9), 20, np.random.default_rng(5))
+    for before, now in zip(kept, (*draws, first)):
+        assert np.array_equal(before, now)
+
+
+_FAULTS = """
+import resource
+import numpy as np
+from flowcde.heads import NFHead
+from flowcde.training import CdeModel, _block_rows, predictive_log_density
+model = CdeModel.build(NFHead(5), 1, (50,), 3, 0.1)
+rng = np.random.default_rng(9)
+x, y = rng.standard_normal((20_000, 1)), rng.standard_normal(20_000)
+assert 20_000 / _block_rows(model, 20, 1) >= 100
+predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+def test_warm_prediction_call_does_not_fault_its_blocks_in_again():
+    # 153 blocks at mc 20 and hidden 50.  With fresh arrays glibc handed each
+    # block's memory back and the next block faulted it in again: about
+    # 85 000 minor faults a call.  A fresh process keeps the count free of
+    # what earlier tests did to the heap.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(training.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000
 
 
 # -- invariants ----------------------------------------------------------------
