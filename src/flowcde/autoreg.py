@@ -166,7 +166,7 @@ def density_grid(
         xs = cond.copy()
         xs[missing] = rng.standard_normal(int(missing.sum()))
         l1 = predictive_curve(model.stage1, xs[None, :], g1, mc, rng)[0]
-        rows2 = np.column_stack([np.broadcast_to(xs, (g1.size, cond.size)), g1])
+        rows2 = _stage_inputs(np.broadcast_to(xs, (g1.size, cond.size)), [g1], 1)
         l2 = predictive_curve(model.stage2, rows2, g2, mc, rng)
         dens += np.exp(l1[:, None] + l2)
     dens /= marginal_samples

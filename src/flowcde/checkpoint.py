@@ -26,7 +26,7 @@ from .bnn import (
 )
 from .data import NormStats, identity_stats
 from .errors import DataError
-from .heads import make_head
+from .heads import HEAD_SETTINGS, make_head
 from .training import CdeModel
 
 __all__ = ["Checkpoint", "format_names", "save_checkpoint", "load_checkpoint"]
@@ -182,7 +182,7 @@ class _Reader:
 def _read_model(r, prefix):
     name = r.take(prefix + "head.name")
     settings = {}
-    for k in ("n_stages", "n_components", "n_noise", "noise_dim"):
+    for k in HEAD_SETTINGS:
         key = prefix + "head." + k
         if key in r.kv:
             settings[k] = int(r.take(key))

@@ -48,7 +48,7 @@ from .data import (
     write_table,
 )
 from .errors import ConfigError, DataError, FlowCdeError, NumericError, StructuralError
-from .heads import make_head
+from .heads import HEAD_SETTINGS, make_head
 from .training import CdeModel, TrainConfig, predictive_curve, predictive_log_density
 
 __all__ = ["main"]
@@ -349,8 +349,7 @@ def _train_config(values):
 
 
 def _head(values):
-    keys = ("n_stages", "n_components", "n_noise", "noise_dim")
-    return make_head(values["head"], **{k: values[k] for k in keys if k in values})
+    return make_head(values["head"], **{k: values[k] for k in HEAD_SETTINGS if k in values})
 
 
 def _prior(values, head):

@@ -25,12 +25,17 @@ one branches on a head's name or type:
   give the same value bit for bit (the flow head's is
   ``flows.log_density_params`` on column views of omega);
 - ``curve_log_density(omega_rows, extras, y_grid)``: one datum's (G,) curve,
-  a one-line call into ``log_density_rows_np``.  Each class keeps it in its
-  own ``__dict__`` because ``perfbench`` looks it up there by name;
+  a one-line call into ``log_density_rows_np``;
 - ``sample_np(omega, extras, n, rng)``: n draws, one per output block.
   ``omega`` has shape (n, rows_per_datum, outputs): block i holds the
   network outputs (one network draw) of the datum that draw i conditions
   on, so each draw may see its own condition and its own network draw.
+
+Each head writes only its ``_log_density(omega, y, extras)``.  Methods the
+heads share are module functions bound in each class body, not inherited, so
+all five that ``perfbench`` wraps (the three densities, ``prepare_inputs``
+and ``sample_np``) sit in each class's own ``__dict__``, where its tracer
+looks them up by name and wraps each class's entry separately.
 
 Heads:
 
@@ -60,9 +65,10 @@ from .errors import ConfigError, StructuralError
 from .flows import LOG_2PI, log_density_params, sample
 from .tape import log, logsumexp, softplus, square
 
-__all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "make_head", "logsumexp"]
+__all__ = ["NFHead", "MDNHead", "LVHead", "GaussHead", "HEAD_SETTINGS", "make_head", "logsumexp"]
 
 _INV_SOFTPLUS_1 = math.log(math.expm1(1.0))  # softplus(x) = 1
+HEAD_SETTINGS = ("n_stages", "n_components", "n_noise", "noise_dim")  # make_head's keywords
 
 
 def _interleaved(names, k):
@@ -76,6 +82,32 @@ def _interleaved(names, k):
 def _per_target(a, y):
     """Insert one axis after the (mc, B) axes of ``a`` per grid axis of y."""
     return a.reshape(a.shape[:2] + (1,) * (np.ndim(y) - 1) + a.shape[2:])
+
+
+def _normal_log_pdf(y, mean, sigma):
+    """log N(y | mean, sigma^2), on arrays or Vars."""
+    with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
+        return -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - mean) / sigma)
+
+
+def _no_extras(self):
+    return np.empty(0)
+
+
+def _feature_rows(self, x, rng):
+    return np.asarray(x, dtype=float), 1
+
+
+def _rows_np(self, omega, y, extras):
+    return self._log_density(np.asarray(omega, dtype=float), y, extras)
+
+
+def _rows_tape(self, tape, omega, y, extras):
+    return self._log_density(omega, y, extras)
+
+
+def _curve(self, omega_rows, extras, y_grid):
+    return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
 
 class NFHead:
@@ -105,25 +137,16 @@ class NFHead:
                   "gamma": unit, "shift": unit}
         return PriorConfig(sigma_w, lambda_, groups)
 
-    def init_extras(self):
-        return np.empty(0)
+    init_extras = _no_extras
+    prepare_inputs = _feature_rows
+    log_density_rows_np = _rows_np
+    log_density_rows_tape = _rows_tape
+    curve_log_density = _curve
 
-    def prepare_inputs(self, x, rng):
-        return np.asarray(x, dtype=float), 1
-
-    def log_density_rows_np(self, omega, y, extras):
-        return self._log_density(np.asarray(omega, dtype=float), y)
-
-    def log_density_rows_tape(self, tape, omega, y, extras):
-        return self._log_density(omega, y)
-
-    def _log_density(self, omega, y):
+    def _log_density(self, omega, y, extras):
         theta = _per_target(omega, y)
         columns = [theta[..., j] for j in range(self.output_dim)]
         return log_density_params(columns, np.asarray(y, dtype=float))
-
-    def curve_log_density(self, omega_rows, extras, y_grid):
-        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         return sample(omega[:, 0], n, rng)
@@ -152,11 +175,11 @@ class MDNHead:
     def default_prior(self, sigma_w=1.0, lambda_=1.0, sigma_beta=1.0):
         return PriorConfig(sigma_w, lambda_, dict.fromkeys(self.group_map(), GroupPrior(0.0, 1.0)))
 
-    def init_extras(self):
-        return np.empty(0)
-
-    def prepare_inputs(self, x, rng):
-        return np.asarray(x, dtype=float), 1
+    init_extras = _no_extras
+    prepare_inputs = _feature_rows
+    log_density_rows_np = _rows_np
+    log_density_rows_tape = _rows_tape
+    curve_log_density = _curve
 
     def _split(self, omega):
         return (
@@ -166,23 +189,12 @@ class MDNHead:
             omega[..., -1:],
         )
 
-    def log_density_rows_np(self, omega, y, extras):
-        return self._log_density(np.asarray(omega, dtype=float), y)
-
-    def log_density_rows_tape(self, tape, omega, y, extras):
-        return self._log_density(omega, y)
-
-    def _log_density(self, omega, y):
+    def _log_density(self, omega, y, extras):
         mu, sig_hat, logit, s = self._split(_per_target(omega, y))
-        sigma = softplus(sig_hat)
         y = np.asarray(y, dtype=float)[..., None]
         # (y - s) first: shift equivariance then holds bit-exactly
-        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
-            comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square(((y - s) - mu) / sigma)
+        comp = _normal_log_pdf(y - s, mu, softplus(sig_hat))
         return logsumexp(logit + comp) - logsumexp(logit)
-
-    def curve_log_density(self, omega_rows, extras, y_grid):
-        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
 
     def sample_np(self, omega, extras, n, rng):
         mu, sig_hat, logit, s = self._split(np.asarray(omega, dtype=float)[:, 0])
@@ -239,25 +251,17 @@ class LVHead(_MeanHead):
         )
         return rows, self.n_noise
 
-    def log_density_rows_np(self, omega, y, extras):
-        return self._log_density(omega, y, extras)
-
-    def log_density_rows_tape(self, tape, omega, y, extras):
-        return self._log_density(omega, y, extras)
+    log_density_rows_np = _rows_np
+    log_density_rows_tape = _rows_tape
+    curve_log_density = _curve
 
     def _log_density(self, omega, y, extras):
         k = self.n_noise
         mc = omega.shape[0]
         b = omega.shape[1] // k
         means = _per_target(omega[..., 0].reshape(mc, b, k), y)
-        sigma = softplus(extras[0])
         y = np.asarray(y, dtype=float)[..., None]
-        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
-            comp = -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - means) / sigma)
-        return logsumexp(comp) - math.log(k)
-
-    def curve_log_density(self, omega_rows, extras, y_grid):
-        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
+        return logsumexp(_normal_log_pdf(y, means, softplus(extras[0]))) - math.log(k)
 
     def sample_np(self, omega, extras, n, rng):
         """Each block holds the per-noise-draw means of one datum; a draw
@@ -277,24 +281,14 @@ class GaussHead(_MeanHead):
     def settings(self):
         return {}
 
-    def prepare_inputs(self, x, rng):
-        return np.asarray(x, dtype=float), 1
-
-    def log_density_rows_np(self, omega, y, extras):
-        return self._log_density(omega, y, extras)
-
-    def log_density_rows_tape(self, tape, omega, y, extras):
-        return self._log_density(omega, y, extras)
+    prepare_inputs = _feature_rows
+    log_density_rows_np = _rows_np
+    log_density_rows_tape = _rows_tape
+    curve_log_density = _curve
 
     def _log_density(self, omega, y, extras):
         mean = _per_target(omega[..., 0], y)
-        sigma = softplus(extras[0])
-        y = np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):  # a far-out target: inf square, density -inf
-            return -0.5 * LOG_2PI - log(sigma) - 0.5 * square((y - mean) / sigma)
-
-    def curve_log_density(self, omega_rows, extras, y_grid):
-        return self.log_density_rows_np(omega_rows[None], np.asarray(y_grid)[None], extras)[0, 0]
+        return _normal_log_pdf(np.asarray(y, dtype=float), mean, softplus(extras[0]))
 
     def sample_np(self, omega, extras, n, rng):
         sigma = float(softplus(extras[0]))

@@ -17,7 +17,11 @@ Constants (floats and plain arrays) enter ops directly and record no node.
 basic indexing, ``reshape`` and ``sum``, and the generic functions below
 dispatch on it, so closed-form expressions (the network pass, flow and head
 densities) are written once and evaluated either on arrays or on a tape;
-the recorded values equal the array values bit for bit.
+the recorded values equal the array values bit for bit.  The elementwise
+ops (``exp``, ``expm1``, ``log``, ``log1p``, ``tanh``, ``softplus``,
+``square``, ``sqrt`` and ``Var``'s unary minus and ``abs``) are one table,
+built by ``_elementwise``: a line per op gives its NumPy function and its
+VJP as an expression in the adjoint, the input value and the output value.
 
 Tapes are single-writer.  Independent tapes may be evaluated concurrently;
 there is no shared state.
@@ -140,6 +144,21 @@ def _value(x):
     return x.value if isinstance(x, Var) else x
 
 
+def _elementwise(kind, f, vjp):
+    """``f`` on arrays and floats; on a Var, one ``kind`` node whose VJP is
+    ``vjp(g, v, out)`` for adjoint g, input value v and output value out."""
+
+    def op(x):
+        if not isinstance(x, Var):
+            return f(x)
+        v = x.value
+        out = f(v)
+        return _record(kind, out, (x, lambda g: vjp(g, v, out)))
+
+    op.__name__ = op.__qualname__ = kind
+    return op
+
+
 def _same(g):
     return g
 
@@ -244,13 +263,9 @@ class Var:
     def __rmatmul__(self, other):
         return _matmul(other, self)
 
-    def __neg__(self):
-        return _record("neg", -self.value, (self, np.negative))
-
-    def __abs__(self):
-        # subgradient sign(0) = 0: measure-zero kink, keeps backward total
-        v = self.value
-        return _record("abs", np.abs(v), (self, lambda g: g * np.sign(v)))
+    __neg__ = _elementwise("neg", np.negative, lambda g, v, out: np.negative(g))
+    # subgradient sign(0) = 0: measure-zero kink, keeps backward total
+    __abs__ = _elementwise("abs", np.abs, lambda g, v, out: g * np.sign(v))
 
     def __getitem__(self, key):
         """Basic indexing (ints, slices, Ellipsis), e.g. column views."""
@@ -279,64 +294,16 @@ class Var:
 
 
 # -- generic math: works on Var, floats, and numpy arrays -----------------
-
-
-def exp(x):
-    if isinstance(x, Var):
-        e = np.exp(x.value)
-        return _record("exp", e, (x, lambda g: g * e))
-    return np.exp(x)
-
-
-def expm1(x):
-    if isinstance(x, Var):
-        e = np.expm1(x.value)
-        return _record("expm1", e, (x, lambda g: g * (e + 1.0)))
-    return np.expm1(x)
-
-
-def log(x):
-    if isinstance(x, Var):
-        v = x.value
-        return _record("log", np.log(v), (x, lambda g: g / v))
-    return np.log(x)
-
-
-def log1p(x):
-    if isinstance(x, Var):
-        v = x.value
-        return _record("log1p", np.log1p(v), (x, lambda g: g / (1.0 + v)))
-    return np.log1p(x)
-
-
-def tanh(x):
-    if isinstance(x, Var):
-        t = np.tanh(x.value)
-        return _record("tanh", t, (x, lambda g: g * (1.0 - t * t)))
-    return np.tanh(x)
-
-
-def softplus(x):
-    if isinstance(x, Var):
-        v = x.value
-        s = np.logaddexp(0.0, v)
-        # sigmoid(v) = exp(v - softplus(v)), stable for either sign
-        return _record("softplus", s, (x, lambda g: g * np.exp(v - s)))
-    return np.logaddexp(0.0, x)
-
-
-def square(x):
-    if isinstance(x, Var):
-        v = x.value
-        return _record("square", np.square(v), (x, lambda g: g * (2.0 * v)))
-    return np.square(x)
-
-
-def sqrt(x):
-    if isinstance(x, Var):
-        r = np.sqrt(x.value)
-        return _record("sqrt", r, (x, lambda g: g * 0.5 / r))
-    return np.sqrt(x)
+exp = _elementwise("exp", np.exp, lambda g, v, out: g * out)
+expm1 = _elementwise("expm1", np.expm1, lambda g, v, out: g * (out + 1.0))
+log = _elementwise("log", np.log, lambda g, v, out: g / v)
+log1p = _elementwise("log1p", np.log1p, lambda g, v, out: g / (1.0 + v))
+tanh = _elementwise("tanh", np.tanh, lambda g, v, out: g * (1.0 - out * out))
+# sigmoid(v) = exp(v - softplus(v)), stable for either sign
+softplus = _elementwise("softplus", lambda x: np.logaddexp(0.0, x),
+                        lambda g, v, out: g * np.exp(v - out))
+square = _elementwise("square", np.square, lambda g, v, out: g * (2.0 * v))
+sqrt = _elementwise("sqrt", np.sqrt, lambda g, v, out: g * 0.5 / out)
 
 
 def logsumexp(v, axis=-1, mean=False):

@@ -154,6 +154,16 @@ def _check_batch(x, y, n_total):
     return x, y
 
 
+def _expected_nll(ld, n_total, mc):
+    """-N / (B * mc) * sum of the (mc, B) log densities ld, an array or a
+    Var; a non-finite one raises NumericError naming its datum and draw."""
+    bad = np.argwhere(~np.isfinite(ld.value.T if isinstance(ld, Var) else ld.T))
+    if bad.size:
+        b, m = (int(i) for i in bad[0])
+        raise NumericError(f"non-finite log density for datum {b} (mc draw {m})", index=b)
+    return -float(n_total) / (ld.shape[1] * mc) * ld.sum()
+
+
 def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     """(report, gradient) of the minibatch free energy, via one tape.
 
@@ -168,13 +178,7 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     tp = TapeParams(tape, net.posterior)
     extras = Var(tape, tape.leaf(model.extras))
     omega = net.forward_tape(tape, tp, x_rows, eps)
-    ld = head.log_density_rows_tape(tape, omega, y, extras)  # (mc, B)
-    bad = np.argwhere(~np.isfinite(ld.value.T))
-    if bad.size:
-        b, m = (int(i) for i in bad[0])
-        raise NumericError(f"non-finite log density for datum {b} (mc draw {m})", index=b)
-    batch = y.shape[0]
-    nll = -float(n_total) / (batch * mc) * ld.sum()
+    nll = _expected_nll(head.log_density_rows_tape(tape, omega, y, extras), n_total, mc)
     adj = tape.backward(nll.id)
 
     kl = net.kl_to_prior()
@@ -210,13 +214,8 @@ def _log_density_draws(model, x, y, mc, rng, shared_eps=None, work=None):
 def free_energy_value(model, x, y, n_total, mc, rng):
     """Vectorised twin of free_energy (value only, same rng consumption)."""
     x, y = _check_batch(x, y, n_total)
-    ld = _log_density_draws(model, x, y, mc, rng)
-    if not np.isfinite(ld).all():
-        bad = int(np.argwhere(~np.isfinite(ld))[0][1])
-        raise NumericError(f"non-finite log density for datum {bad}", index=bad)
-    batch = y.shape[0]
-    nll = -float(n_total) / (batch * mc) * float(ld.sum())
-    return nll + model.net.kl_to_prior()
+    nll = _expected_nll(_log_density_draws(model, x, y, mc, rng), n_total, mc)
+    return float(nll) + model.net.kl_to_prior()
 
 
 @dataclass

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcde.errors import ConfigError, StructuralError
-from flowcde.heads import GaussHead, LVHead, MDNHead, NFHead, logsumexp, make_head
+from flowcde.heads import (
+    HEAD_SETTINGS,
+    GaussHead,
+    LVHead,
+    MDNHead,
+    NFHead,
+    logsumexp,
+    make_head,
+)
 from flowcde.tape import Tape, Var, grad_check
 
 INV_SP1 = math.log(math.expm1(1.0))  # softplus -> 1
@@ -297,6 +305,10 @@ def test_settings_rebuild_an_equal_head(head, extra_inputs):
     back = make_head(head.name, **head.settings())
     assert type(back) is type(head) and vars(back) == vars(head)
     assert back.extra_input_dim == extra_inputs
+    # the CLI and the checkpoint reader pass any of HEAD_SETTINGS to make_head
+    assert set(head.settings()) <= set(HEAD_SETTINGS)
+    every = make_head(head.name, **dict.fromkeys(HEAD_SETTINGS, 2))
+    assert set(every.settings().values()) <= {2}
 
 
 def test_logsumexp_all_minus_inf_is_minus_inf():

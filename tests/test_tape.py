@@ -274,6 +274,15 @@ def test_logsumexp_vjp(axis, mean):
     check_vjp(lambda a: logsumexp(3.0 * a, axis=axis, mean=mean), [(3, 4, 2)])
 
 
+@pytest.mark.parametrize("op", [
+    exp, expm1, tanh, softplus, square, abs, lambda a: -a,
+    # constant shifts keep every N(0, 1) draw inside the op's domain
+    lambda a: log(a + 5.0), lambda a: log1p(a + 4.0), lambda a: sqrt(a + 5.0),
+], ids=["exp", "expm1", "tanh", "softplus", "square", "abs", "neg", "log", "log1p", "sqrt"])
+def test_elementwise_op_vjp(op):
+    check_vjp(op, [(3, 4)])
+
+
 def test_logsumexp_all_minus_inf_slice_passes_back_zero():
     t = Tape()
     x = leaf(t, [[-np.inf, -np.inf], [0.0, -np.inf], [1.0, 2.0]])

@@ -164,12 +164,13 @@ def test_non_finite_likelihood_reports_datum_index():
     model = build_model(GaussHead())
     x, _ = small_batch()
     y = np.array([0.1, np.inf, -0.3])
-    with pytest.raises(NumericError) as ei:
-        free_energy(model, x, y, 3, 2, np.random.default_rng(0))
-    assert ei.value.index == 1
-    with pytest.raises(NumericError) as ei:
-        free_energy_value(model, x, y, 3, 2, np.random.default_rng(0))
-    assert ei.value.index == 1
+    errors = []
+    for fn in (free_energy, free_energy_value):
+        with pytest.raises(NumericError, match=r"datum 1 \(mc draw 0\)") as ei:
+            fn(model, x, y, 3, 2, np.random.default_rng(0))
+        assert ei.value.index == 1
+        errors.append(str(ei.value))
+    assert errors[0] == errors[1]
 
 
 # -- gradients vs finite differences -----------------------------------------
