@@ -34,10 +34,10 @@ passes a broadcast view of a (mc, 1, units) array, so each row's marginal is
 unchanged, and a one-row call keeps the digits of a per-row draw.  Layer
 0's input is the same for every draw, so its pre-activation mean and
 variance are computed once per row, as (batch, units) arrays, and reach
-(mc, batch, units) only when its noise is added.  A prediction call hands
-every block's pass one Workspace, whose buffers take each layer's arrays in
-place of fresh ones; the tape always gets fresh arrays, since its VJPs keep
-the forward values.
+(mc, batch, units) only when its noise is added.  Each thread of a
+prediction call hands the passes of the blocks it scores one Workspace,
+whose buffers take each layer's arrays in place of fresh ones; the tape
+always gets fresh arrays, since its VJPs keep the forward values.
 """
 
 from __future__ import annotations
@@ -330,7 +330,9 @@ class BayesianMLP:
         the noisy pre-activation and the activation.  The squared input
         overwrites the input, the previous layer's "h" buffer, which nothing
         reads after it; layer 0's input is the caller's x, so it squares into
-        a (-1, "h") buffer of its own.
+        a (-1, "h") buffer of its own.  The output layer has no "h": its
+        noise product overwrites its squared input, and the noisy
+        pre-activation, the result, is summed into its "a".
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
@@ -357,8 +359,9 @@ class BayesianMLP:
                     var_pre = put(layer, "spread", add, spread, exp(p.b_logvars[layer]))
                 else:
                     var_pre = p.sigma_q**2 * (spread + 1.0)
-                noise = put(layer, "h", mul, eps[layer], put(layer, "spread", sqrt, var_pre))
-                a = put(layer, "h", add, a, noise)
+                at, role = (layer - 1, "a") if layer == last else (layer, "h")
+                noise = put(at, "h", mul, eps[layer], put(layer, "spread", sqrt, var_pre))
+                a = put(layer, role, add, a, noise)
             h = put(layer, "h", tanh, a) if layer != last else a
         if spread is None:
             h = h * np.ones((eps[0].shape[0], 1, 1))
@@ -374,14 +377,15 @@ _UFUNCS = {matmul: np.matmul, mul: np.multiply, add: np.add, tanh: np.tanh, sqrt
 
 
 class Workspace:
-    """Buffers that the NumPy passes of one prediction call write into.
+    """Buffers that the NumPy passes of one prediction thread write into.
 
     One buffer per (layer, role), allocated by the first pass that asks for
-    it: the call's first block, its largest.  A later pass with fewer rows
-    writes into a contiguous view of the buffer's first elements.  Reusing
-    the buffers keeps a call's working set resident from block to block,
-    where fresh arrays were handed back to the system after each block and
-    faulted in again by the next.  Values are the fresh arrays' bit for bit.
+    it, and again, larger, by a pass that needs more.  A pass with fewer
+    rows writes into a contiguous view of the buffer's first elements.
+    Reusing the buffers keeps a thread's working set resident from block to
+    block, where fresh arrays were handed back to the system after each
+    block and faulted in again by the next.  Values are the fresh arrays'
+    bit for bit.  A Workspace is not shared between threads.
     """
 
     def __init__(self):
@@ -392,7 +396,7 @@ class Workspace:
         if op is matmul:
             shape = args[0].shape[:-1] + args[1].shape[-1:]
         else:
-            shape = np.broadcast_shapes(*(np.shape(arg) for arg in args))
+            shape = np.broadcast(*args).shape
         size = math.prod(shape)
         buf = self._buffers.get((layer, role))
         if buf is None or buf.size < size:

@@ -7,6 +7,9 @@ Conventions fixed here:
 - a cyclic-hour feature column expands to (sin, cos) of 2*pi*h/24 and is
   never z-scored; expanded columns keep a cyclic kind so repeated
   normalization leaves them alone.
+- normalized features saturate at +-FEATURE_LIMIT, so a far-out raw value
+  (one whose z-score overflows) reaches the network as a large finite one;
+  NaN stays NaN.
 - held-out log-likelihoods on normalized targets convert to raw target units
   by adding NormStats.log_jacobian (= -sum ln std_y).
 - raw and model units are mapped here alone: apply_stats for datasets,
@@ -57,6 +60,7 @@ CYCLIC_HOUR = "cyclic-hour"
 CYCLIC_SIN = "cyclic-sin"
 CYCLIC_COS = "cyclic-cos"
 _KINDS = (NUMERIC, CYCLIC_HOUR, CYCLIC_SIN, CYCLIC_COS)
+FEATURE_LIMIT = 1e150  # |normalised feature| cap: x * w and sum(x * x) stay finite
 
 
 @dataclass(frozen=True)
@@ -182,9 +186,11 @@ def normalize(train):
 
 
 def _scale_features(stats, x, names):
+    """Normalised features, saturated at +-FEATURE_LIMIT; NaN stays NaN."""
     if names != stats.feature_names:
         raise DataError(f"columns {names} do not match stats {stats.feature_names}")
-    return (x - stats.x_mean) / stats.x_std
+    with np.errstate(over="ignore"):  # a far-out raw value overflows, then saturates
+        return np.clip((x - stats.x_mean) / stats.x_std, -FEATURE_LIMIT, FEATURE_LIMIT)
 
 
 def apply_stats(stats, other):

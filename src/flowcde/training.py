@@ -27,15 +27,27 @@ _block_rows rows (at most BLOCK_DRAW_CELLS draws x head rows x target cells
 and BLOCK_DRAW_UNITS draws x head rows x widest-layer units, but at least
 one), each block drawing its own head noise, blocks in file order.  The
 constants only bound memory: outside the head noise, a row's value depends
-on its block only through the row count of a matrix product.  Each call
-makes one bnn.Workspace: every block's forward pass writes its layer arrays
-into the same buffers, sized by the first block, and the workspace is
-dropped when the call returns.
+on its block only through the row count of a matrix product.
+
+The blocks are scored on up to MAX_WORKERS threads, the caller's among
+them, and no more than the process has CPUs or the call has blocks; a call
+whose layer arrays fit one block's units budget runs inline.  A thread
+draws a block's head noise with a lock held, so the rng makes its draws in
+the one-thread order (the shared noise, then each block's head noise in
+file order), and then scores the block without the lock, in NumPy loops
+that release the GIL.  Each thread has its own bnn.Workspace, whose buffers
+every block it scores writes its layer arrays into, and each block writes
+its rows of one preallocated result, so the output is byte-identical for
+any thread count, and memory is bounded by the worker cap.  The workspaces
+are dropped when the call returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +58,7 @@ from .tape import Tape, Var
 
 BLOCK_DRAW_CELLS = 1 << 14  # draw x cell budget of one prediction block
 BLOCK_DRAW_UNITS = 1 << 17  # draw x unit budget: 1 MiB per float64 layer array
+MAX_WORKERS = 2  # threads one prediction call scores on, each with a workspace
 
 __all__ = [
     "BLOCK_DRAW_CELLS",
@@ -192,15 +205,17 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
-def _log_density_draws(model, x, y, mc, rng, shared_eps=None, work=None):
+def _log_density_draws(model, x, y, mc, rng, shared_eps=None, defer=False):
     """(mc, B) log densities of targets y (B,), or (mc, B, G) of a grid
     y (B, G), under mc network draws at feature rows x (B, d).
 
     The rng draws the head's input augmentation, then one activation noise
     array per layer, in the order free_energy draws them.  With shared_eps,
     a per-layer list of (mc, 1, units) draws, every row reads that noise
-    instead and the rng draws only the head's.  ``work`` is the forward
-    pass's Workspace, if any.
+    instead and the rng draws only the head's.  With ``defer`` the rng
+    draws are made now and the rest, the forward pass and the head density,
+    is returned as a function of the pass's Workspace, to be called later on
+    any thread.
     """
     net, head = model.net, model.head
     rows, _ = head.prepare_inputs(x, rng)
@@ -208,7 +223,11 @@ def _log_density_draws(model, x, y, mc, rng, shared_eps=None, work=None):
         eps = draw_eps(net.arch, rng, mc, rows.shape[0])
     else:
         eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared_eps]
-    return head.log_density_rows_np(net.forward_np(rows, eps, work), y, model.extras)
+
+    def score(work):
+        return head.log_density_rows_np(net.forward_np(rows, eps, work), y, model.extras)
+
+    return score if defer else score(None)
 
 
 def free_energy_value(model, x, y, n_total, mc, rng):
@@ -282,10 +301,21 @@ def _block_rows(model, mc, cells):
     """Rows per prediction block of mc draws over ``cells`` targets a row:
     the most whose (mc, head rows, cells) and (mc, head rows, units of the
     widest non-input layer) arrays fit both budgets, and at least one."""
-    per_row = mc * model.head.rows_per_datum
-    units = max(model.net.arch.widths[1:])
-    return max(1, min(BLOCK_DRAW_CELLS // (per_row * cells),
-                      BLOCK_DRAW_UNITS // (per_row * units)))
+    return max(1, min(BLOCK_DRAW_CELLS // (mc * model.head.rows_per_datum * cells),
+                      BLOCK_DRAW_UNITS // _row_units(model, mc)))
+
+
+def _row_units(model, mc):
+    """Draws x head rows x units of the widest non-input layer, per row."""
+    return mc * model.head.rows_per_datum * max(model.net.arch.widths[1:])
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _predictive_blocks(model, x, y, mc, rng):
@@ -293,10 +323,10 @@ def _predictive_blocks(model, x, y, mc, rng):
     targets y (B,) -> (B,) or of a grid y (B, G) -> (B, G), scored in row
     blocks of _block_rows rows.
 
-    The rng first draws the activation noise every row shares, then each
-    block's head noise in one _log_density_draws call, blocks in file order.
-    Every block's forward pass writes into one Workspace, made here and
-    dropped on return.
+    The rng first draws the activation noise every row shares.  Then
+    _run_blocks scores the blocks, each drawing its head noise in a deferred
+    _log_density_draws call, blocks in file order, and writing its rows of
+    one preallocated result.
     """
     if mc < 1:
         raise StructuralError(f"mc must be >= 1, got {mc}")
@@ -307,12 +337,78 @@ def _predictive_blocks(model, x, y, mc, rng):
         raise StructuralError("target grid must be non-empty")
     step = _block_rows(model, mc, cells)
     shared = draw_eps(model.net.arch, rng, mc, 1)
-    work = Workspace()
-    return np.concatenate([
-        logsumexp(_log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared,
-                                     work), axis=0, mean=True)
-        for i in range(0, x.shape[0], step)
-    ])
+    out = np.empty(y.shape)
+    starts = range(0, x.shape[0], step)
+
+    def draw(i):
+        score = _log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared,
+                                   defer=True)
+        return partial(_score_block, out[i : i + step], score)
+
+    # threads pay for their start and their GIL hand-offs when the call's
+    # layer arrays, whose NumPy loops release the GIL, fill more than one
+    # block's units budget; a few small grid blocks run faster inline
+    pool = x.shape[0] * _row_units(model, mc) > BLOCK_DRAW_UNITS
+    _run_blocks(starts, draw, min(_cpus(), MAX_WORKERS, len(starts)) if pool else 1)
+    return out
+
+
+def _score_block(out, score, work):
+    out[...] = logsumexp(score(work), axis=0, mean=True)
+
+
+def _run_blocks(items, draw, workers):
+    """Run ``draw(item)(work)`` for every item on ``workers`` threads, the
+    caller's among them, each thread passing its own Workspace; one worker
+    runs inline.
+
+    Threads take items in list order and call ``draw`` with a lock held, so
+    an rng it draws from is drawn in list order, and a thread holds one
+    item's draws at a time.  The function ``draw`` returns then runs without
+    the lock.  Worker threads run under the caller's np.errstate.  Once an
+    item has raised, no thread takes another, and the error of the first
+    failing item in list order is raised here: every item before it was
+    taken earlier and has run to its end.
+    """
+    lock = threading.Lock()
+    todo = iter(enumerate(items))
+    errors = {}
+
+    def loop():
+        work = Workspace()
+        while True:
+            with lock:
+                k, item = (None, None) if errors else next(todo, (None, None))
+                if k is None:
+                    return
+                try:
+                    task = draw(item)
+                except BaseException as err:  # raised again on the calling thread
+                    errors[k] = err
+                    return
+            try:
+                task(work)
+            except BaseException as err:
+                with lock:
+                    errors[k] = err
+            del task
+
+    state = np.geterr()
+
+    def worker():
+        with np.errstate(**state):
+            loop()
+
+    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        loop()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def predictive_log_density(model, x, y, mc, rng):

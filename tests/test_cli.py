@@ -21,16 +21,19 @@ from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
 from flowcde.data import (
     TOY_GENERATORS,
+    Dataset,
+    NormStats,
     apply_stats,
     denormalize_targets,
     encode_cyclic_hour,
     load_csv,
     normalize_features,
+    normalize_targets,
     toy_true_log_density,
 )
 from flowcde.errors import ConfigError, NumericError
 from flowcde.heads import make_head
-from flowcde.training import CdeModel, predictive_log_density
+from flowcde.training import CdeModel, predictive_curve, predictive_log_density
 
 
 def run(*args):
@@ -580,6 +583,49 @@ def test_eval_refuses_zero_predictive_density(trained, tmp_path, capsys):
     assert "nan" not in printed.out + printed.err
     assert "row 8" in printed.err
     assert not (out / "summary.txt").exists()
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 1e150, 3.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["nf", "mdn", "lv", "gauss"]),
+    mode=st.sampled_from(["fixed", "learned"]),
+    x_std=st.sampled_from([0.5, 0.01, 1e-200]),
+    xs=st.lists(_ANY_FLOAT, min_size=1, max_size=4),
+    ys=st.lists(_ANY_FLOAT, min_size=1, max_size=4),
+    condition=_ANY_FLOAT,
+    seed=st.integers(0, 999),
+)
+def test_far_out_features_give_a_finite_value_or_minus_inf(name, mode, x_std, xs, ys,
+                                                            condition, seed):
+    # a raw feature whose z-score overflows (x_std < 1) saturates to a large
+    # finite feature: eval's rows, sample's draws and heatmap's cells are
+    # finite or -inf, and eval's refusal names a row
+    head = make_head(name, n_stages=2, n_components=2, n_noise=3)
+    stats = NormStats(("x",), ("numeric",), np.array([0.5]), np.array([x_std]),
+                      np.zeros(1), np.ones(1))
+    ckpt = Checkpoint(CdeModel.build(head, 1, (8,), seed, 0.3, mode), stats, ("x",))
+    xs, ys = np.array(xs), np.array(ys)
+    ds = Dataset(np.repeat(xs, ys.size)[:, None], np.tile(ys, xs.size), ("x",))
+    nds = apply_stats(stats, ds)
+    ll = predictive_log_density(ckpt.model, nds.x, nds.y[:, 0], 5, np.random.default_rng(seed))
+    assert not np.isnan(ll).any() and (ll < np.inf).all()
+    try:
+        cli._mean_ll(ckpt, ds, 5, seed, False)
+    except NumericError as err:
+        assert str(err).startswith("row ") and "nan" not in str(err)
+    row = cli._normalize_condition(ckpt, (condition,))
+    draws = sample_chain(ckpt.model, row, 4, 5, np.random.default_rng(seed))
+    assert np.isfinite(draws).all()
+    cells = predictive_curve(ckpt.model, normalize_features(stats, xs[:, None], ("x",)),
+                             normalize_targets(stats, ys, 0), 5, np.random.default_rng(seed))
+    cli._refuse_nan(cells)
+    assert (cells < np.inf).all()
 
 
 def test_raw_units_shift_equals_jacobian(trained, tmp_path):

@@ -1,8 +1,10 @@
-"""The package's public names."""
+"""The package: its public names, its imports and what importing it loads."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,18 @@ def test_runtime_imports_are_numpy_and_the_standard_library():
                 continue
             outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert not outside
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    # prediction runs its blocks on plain threads; sample and train start no
+    # pool, so no command pays to import one (concurrent.futures costs ~6 ms)
+    pools = ("concurrent.futures", "multiprocessing", "multiprocessing.pool",
+             "multiprocessing.dummy", "queue")
+    code = f"import sys, flowcde.cli; print([m for m in {pools!r} if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(flowcde.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

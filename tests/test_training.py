@@ -6,7 +6,9 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -720,6 +722,231 @@ def test_prediction_writes_no_array_it_returned_before(name):
     predictive_curve(model, x, np.linspace(-2.0, 2.0, 9), 20, np.random.default_rng(5))
     for before, now in zip(kept, (*draws, first)):
         assert np.array_equal(before, now)
+
+
+# -- blocked prediction: the worker threads ----------------------------------------
+
+
+def _workers(monkeypatch, n):
+    monkeypatch.setattr(training, "_cpus", lambda: n)
+
+
+def _started_threads(monkeypatch):
+    """The threads started from now on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+def _pooled_blocks(model, step):
+    """How many blocks of ``step`` rows, the last one row short, a call needs
+    to run on threads: three or more, over more than one units budget."""
+    rows = BLOCK_DRAW_UNITS // training._row_units(model, 20) + 1
+    return max(3, -(-rows // step) + 1)
+
+
+@pytest.mark.parametrize("name", ["nf", "mdn", "lv", "gauss"])
+@pytest.mark.parametrize("mode", ["fixed", "learned"])
+@pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
+def test_pooled_blocks_equal_the_one_worker_path(monkeypatch, name, mode, curve):
+    # one row, one full block, and three or more blocks whose last is one row
+    # short, which two workers take in any order
+    head = make_head(name, n_stages=5, n_components=3, n_noise=3)
+    model = CdeModel.build(head, 1, (50, 20), 2, 0.2, mode, head.default_prior(lambda_=0.7))
+    grid = np.linspace(-3.0, 3.0, 41) if curve else None
+    step = _block_rows(model, 20, grid)
+    counts = (1, step, _pooled_blocks(model, step) * step - 1)
+    x, y = small_batch(x_dim=1, n=counts[-1], seed=21)
+    started = _started_threads(monkeypatch)
+    runs = []
+    for workers in (1, 4):
+        _workers(monkeypatch, workers)
+        runs.append([_predict(model, x[:n], y[:n], grid, 20, np.random.default_rng(n))
+                     for n in counts])
+    assert len(started) == 1
+    for one, pooled in zip(*runs):
+        assert np.isfinite(one).all()
+        assert np.array_equal(one, pooled)
+
+
+def test_pooled_joint_density_equals_the_one_worker_path(monkeypatch):
+    head = NFHead(3)
+    stages = [CdeModel.build(head, d, (50,), 5 + d, 0.2, "learned") for d in (1, 2)]
+    model = AutoregModel(*stages)
+    step = _block_rows(stages[0], 20, None)
+    x, y = small_batch(x_dim=1, n=2 * step + 7, seed=22)
+    ys = np.column_stack([y, y[::-1]])
+    runs = []
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        runs.append(joint_log_density(model, x, ys, 20, np.random.default_rng(3)))
+    assert np.isfinite(runs[0]).all()
+    assert np.array_equal(*runs)
+
+
+def test_workers_are_the_cpus_capped_at_two_and_at_the_blocks(monkeypatch):
+    # the caller is one of the workers; a one-block call starts no thread,
+    # and nor do grid blocks whose layer arrays fit one units budget
+    if hasattr(os, "sched_getaffinity"):
+        assert training._cpus() == len(os.sched_getaffinity(0))
+    assert training.MAX_WORKERS == 2
+    started = _started_threads(monkeypatch)
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    step = _block_rows(model, 20, None)
+    x, y = small_batch(x_dim=1, n=3 * step, seed=23)
+    for cpus, n, threads in ((4, step, 0), (4, 3 * step, 1), (2, 3 * step, 1), (1, 3 * step, 0)):
+        _workers(monkeypatch, cpus)
+        started.clear()
+        predictive_log_density(model, x[:n], y[:n], 20, np.random.default_rng(0))
+        assert len(started) == threads
+    _workers(monkeypatch, 4)
+    grid = np.linspace(-3.0, 3.0, 41)
+    fits = BLOCK_DRAW_UNITS // training._row_units(model, 20)
+    for n, threads in ((fits, 0), (fits + 1, 1)):
+        assert n > 3 * _block_rows(model, 20, grid)
+        started.clear()
+        predictive_curve(model, x[:n], grid, 20, np.random.default_rng(0))
+        assert len(started) == threads
+
+
+@pytest.mark.parametrize("name", ["nf", "lv"])
+def test_predictive_memory_peak_is_a_few_blocks_on_many_cpus(monkeypatch, name):
+    # at most two workers, each holding one workspace and one block's head
+    # rows, so four CPUs meet the bounds of one; lv's head rows are fresh
+    # arrays, n_noise per datum
+    _workers(monkeypatch, 4)
+    head = make_head(name, n_stages=5, n_noise=5)
+    model = build_model(head, x_dim=1, hidden=(50,), sigma_q=0.1)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((20_000, 1)), rng.standard_normal(20_000)
+    small = _peak_bytes(model, x[:5000], y[:5000])
+    large = _peak_bytes(model, x, y)
+    assert large < 4_000_000
+    assert large - small < 1_000_000
+
+
+def test_many_workers_score_each_block_once(monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: a block taken twice or never breaks the count or the values
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    step = _block_rows(model, 20, None)
+    x, y = small_batch(x_dim=1, n=40 * step + 3, seed=27)
+    _workers(monkeypatch, 1)
+    want = predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+    scored = []
+    score_block = training._score_block
+    monkeypatch.setattr(training, "_score_block",
+                        lambda out, *args: scored.append(out.shape[0]) or score_block(out, *args))
+    _workers(monkeypatch, 8)
+    monkeypatch.setattr(training, "MAX_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(scored) == 41 and sum(scored) == x.shape[0]
+    assert np.array_equal(got, want)
+
+
+def _on_a_worker(monkeypatch, model, action):
+    """Score on two threads with ``action()`` run first in a worker's block:
+    the calling thread's block waits until it has run."""
+    cls = type(model.head)
+    density = vars(cls)["log_density_rows_np"]
+    ran = threading.Event()
+    caller = threading.get_ident()
+
+    def patched(self, *args):
+        if threading.get_ident() == caller:
+            assert ran.wait(30)
+        else:
+            try:
+                action()
+            finally:
+                ran.set()
+        return density(self, *args)
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(cls, "log_density_rows_np", patched)
+
+
+def _overflow():
+    np.exp(np.full(1, 1e3))
+
+
+@pytest.mark.parametrize("kind", ["numeric", "warning"])
+def test_a_workers_error_is_raised_in_the_caller(monkeypatch, kind):
+    def fail():
+        if kind == "numeric":
+            raise NumericError("worker failed")
+        _overflow()  # a RuntimeWarning, an error under the filter below
+
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    x, y = small_batch(x_dim=1, n=3 * _block_rows(model, 20, None), seed=24)
+    _on_a_worker(monkeypatch, model, fail)
+    want = (NumericError, "worker failed") if kind == "numeric" else (RuntimeWarning, "overflow")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(want[0], match=want[1]):
+            predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+
+
+def test_a_failing_draw_is_raised_and_stops_the_blocks_after_it(monkeypatch):
+    # head noise is drawn with the pool's lock held, blocks in file order
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    x, y = small_batch(x_dim=1, n=3 * _block_rows(model, 20, None), seed=28)
+    drawn = []
+    prepare = NFHead.prepare_inputs
+
+    def failing(self, rows, rng):
+        drawn.append(rows[0, 0])
+        if len(drawn) == 2:
+            raise NumericError("block 1's draw")
+        return prepare(self, rows, rng)
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(NFHead, "prepare_inputs", failing)
+    with pytest.raises(NumericError, match="block 1's draw"):
+        predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+    assert drawn == [x[0, 0], x[len(x) // 3, 0]]
+
+
+def test_the_callers_errstate_holds_in_workers(monkeypatch):
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    x, y = small_batch(x_dim=1, n=3 * _block_rows(model, 20, None), seed=25)
+    _on_a_worker(monkeypatch, model, _overflow)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+
+
+def test_the_first_failing_block_in_file_order_is_raised(monkeypatch):
+    # block 0 waits until block 1 has failed, so the two run on two threads
+    # and fail in reverse order; the caller raises block 0's error, and no
+    # thread takes block 2 after a block has failed
+    model = build_model(NFHead(2), x_dim=1, hidden=(50,))
+    step = _block_rows(model, 20, None)
+    x, y = small_batch(x_dim=1, n=3 * step, seed=26)
+    y[0], y[step] = 100.0, 200.0
+    failed = threading.Event()
+    threads, calls = set(), []
+
+    def poisoned(self, omega, ys, extras):
+        threads.add(threading.get_ident())
+        calls.append(ys[0])
+        if ys[0] == 100.0:
+            failed.wait(30)
+            raise NumericError("block 0")
+        failed.set()
+        raise NumericError("block 1")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(NFHead, "log_density_rows_np", poisoned)
+    with pytest.raises(NumericError, match="block 0"):
+        predictive_log_density(model, x, y, 20, np.random.default_rng(0))
+    assert failed.is_set() and len(threads) == 2
+    assert sorted(calls) == [100.0, 200.0]
 
 
 _FAULTS = """
