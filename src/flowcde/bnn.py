@@ -43,7 +43,7 @@ always gets fresh arrays, since its VJPs keep the forward values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import add, matmul, mul
 
 import numpy as np
@@ -142,18 +142,6 @@ class VariationalPosterior:
     @property
     def mode(self):
         return "fixed" if self.sigma_q is not None else "learned"
-
-    def to_vector(self):
-        """Flat trainable parameters in canonical layout (the stored array)."""
-        return self.vector
-
-    def replace_from_vector(self, vec):
-        """New posterior with trainable parameters taken from a flat vector."""
-        return replace(self, vector=vec)
-
-    @property
-    def n_trainable(self):
-        return self.vector.size
 
 
 def split_flat(arch, flat, learned):

@@ -374,10 +374,11 @@ def _write_trace(path, traces):
         write_table(fh, [stages, [r.iteration for r in reports], *values.reshape(-1, 3).T])
 
 
-def _fit(values, meta):
+def _fit(values, meta, scored=False):
     """Load, split, normalize and train, then create the output directory and
     write the artifacts into it; returns (out, checkpoint, valid, test).  A
-    run that fails before its artifacts are written leaves no file behind."""
+    run that fails before its artifacts are written leaves no file behind.
+    A ``scored`` run refuses a split with no validation or test rows."""
     head = _head(values)
     prior = _prior(values, head)
     data = _data_file(values, meta)
@@ -385,6 +386,12 @@ def _fit(values, meta):
     ds = _read_csv(data, values["features"], targets, values["cyclic"])
     format_names(ds.feature_names + targets)  # names the checkpoint can store
     (train_ds, valid_ds, test_ds), parts = split(ds, values["split"], values["split_seed"])
+    if scored and not (valid_ds.n and test_ds.n):
+        raise ConfigError(
+            f"setting split={','.join(f'{f:g}' for f in values['split'])}: grid-search scores "
+            f"each combination on its validation and test rows, but the {ds.n} rows split "
+            f"into {train_ds.n} train, {valid_ds.n} validation and {test_ds.n} test rows"
+        )
     norm_train, stats = normalize(train_ds)
     model, traces = fit_chain(
         lambda n_inputs, seed: CdeModel.build(head, n_inputs, values["hidden"], seed,
@@ -664,10 +671,9 @@ def cmd_grid_search(values, raw, meta):
         sub_values, sub_raw, _ = resolve_settings("train", None, overrides)
         _prior(sub_values, _head(sub_values))
         runs.append((combo, sub_values, sub_raw))
-    out = _out_dir(values)
     results = []
     for idx, (combo, sub_values, sub_raw) in enumerate(runs):
-        combo_out, ckpt, valid_ds, test_ds = _fit(sub_values, {})
+        combo_out, ckpt, valid_ds, test_ds = _fit(sub_values, {}, scored=True)
         _write_manifest(combo_out / "manifest.cfg", "train", sub_raw, sub_values["data"])
         valid_ll = float(
             _mean_ll(ckpt, valid_ds, values["mc_test"], values["seed"], True).mean()
@@ -677,6 +683,7 @@ def cmd_grid_search(values, raw, meta):
         )
         results.append((idx, combo, valid_ll, test_ll))
     results.sort(key=lambda r: (-r[2], r[0]))
+    out = _out_dir(values)
     keys = sorted(grid_raw)
     options = [dict(combo) for _, combo, _, _ in results]
     with open(out / "results.csv", "w") as fh:

@@ -22,32 +22,30 @@ noise array per layer of shape (mc, 1, units) once per call, and every row
 shares it: each row still sees i.i.d. standard-normal noise, so its
 predictive estimate has the distribution a per-row draw gives, and for heads
 without noise inputs a one-row call keeps the digits of a per-row draw; rows
-now share one Monte Carlo error.  Rows are then scored in blocks of
-_block_rows rows (at most BLOCK_DRAW_CELLS draws x head rows x target cells
-and BLOCK_DRAW_UNITS draws x head rows x widest-layer units, but at least
-one), each block drawing its own head noise, blocks in file order.  The
-constants only bound memory: outside the head noise, a row's value depends
-on its block only through the row count of a matrix product.
+now share one Monte Carlo error.  _predictive_blocks then scores rows in
+blocks of _block_rows rows (at most BLOCK_DRAW_CELLS draws x head rows x
+target cells and BLOCK_DRAW_UNITS draws x head rows x widest-layer units,
+but at least one), each block drawing its own head noise, blocks in file
+order.  The constants only bound memory: outside the head noise, a row's
+value depends on its block only through the row count of a matrix product.
 
-The blocks are scored on up to MAX_WORKERS threads, the caller's among
-them, and no more than the process has CPUs or the call has blocks; a call
-whose layer arrays fit one block's units budget runs inline.  A thread
-draws a block's head noise with a lock held, so the rng makes its draws in
-the one-thread order (the shared noise, then each block's head noise in
-file order), and then scores the block without the lock, in NumPy loops
-that release the GIL.  Each thread has its own bnn.Workspace, whose buffers
-every block it scores writes its layer arrays into, and each block writes
-its rows of one preallocated result, so the output is byte-identical for
-any thread count, and memory is bounded by the worker cap.  The workspaces
-are dropped when the call returns.
+That loop runs on up to MAX_WORKERS threads, the caller's among them, and
+no more than the process has CPUs or the call has blocks; a call whose
+layer arrays fit one block's units budget runs inline.  A thread takes the
+next block and draws its head noise with a lock held, so the rng draws in
+the one-thread order, then scores the block without the lock, in NumPy
+loops that release the GIL, into its rows of one preallocated result.  Each
+thread writes its layer arrays into its own bnn.Workspace, dropped when the
+call returns, and holds one block's head rows at a time, so the output is
+byte-identical for any thread count and memory is bounded by the worker
+cap.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,13 +143,13 @@ class CdeModel:
         return self.net.arch.input_dim - self.head.extra_input_dim
 
     def trainable_vector(self):
-        return np.concatenate([self.net.posterior.to_vector(), self.extras])
+        return np.concatenate([self.net.posterior.vector, self.extras])
 
     def set_trainable(self, vec):
-        n_post = self.net.posterior.n_trainable
+        n_post = self.net.posterior.vector.size
         if vec.size != n_post + self.extras.size:
             raise StructuralError("trainable vector has wrong length")
-        self.net.posterior = self.net.posterior.replace_from_vector(vec[:n_post])
+        self.net.posterior = replace(self.net.posterior, vector=vec[:n_post])
         self.extras = np.array(vec[n_post:], dtype=float)
 
 
@@ -205,35 +203,19 @@ def free_energy(model, x, y, n_total, mc, rng, iteration=0):
     return FreeEnergyReport(nll, kl, nll + kl, iteration), grad
 
 
-def _log_density_draws(model, x, y, mc, rng, shared_eps=None, defer=False):
+def _score(model, rows, y, eps, work=None):
     """(mc, B) log densities of targets y (B,), or (mc, B, G) of a grid
-    y (B, G), under mc network draws at feature rows x (B, d).
-
-    The rng draws the head's input augmentation, then one activation noise
-    array per layer, in the order free_energy draws them.  With shared_eps,
-    a per-layer list of (mc, 1, units) draws, every row reads that noise
-    instead and the rng draws only the head's.  With ``defer`` the rng
-    draws are made now and the rest, the forward pass and the head density,
-    is returned as a function of the pass's Workspace, to be called later on
-    any thread.
-    """
-    net, head = model.net, model.head
-    rows, _ = head.prepare_inputs(x, rng)
-    if shared_eps is None:
-        eps = draw_eps(net.arch, rng, mc, rows.shape[0])
-    else:
-        eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared_eps]
-
-    def score(work):
-        return head.log_density_rows_np(net.forward_np(rows, eps, work), y, model.extras)
-
-    return score if defer else score(None)
+    y (B, G), at head rows ``rows`` under activation noise ``eps``."""
+    return model.head.log_density_rows_np(model.net.forward_np(rows, eps, work), y,
+                                          model.extras)
 
 
 def free_energy_value(model, x, y, n_total, mc, rng):
     """Vectorised twin of free_energy (value only, same rng consumption)."""
     x, y = _check_batch(x, y, n_total)
-    nll = _expected_nll(_log_density_draws(model, x, y, mc, rng), n_total, mc)
+    rows, _ = model.head.prepare_inputs(x, rng)
+    eps = draw_eps(model.net.arch, rng, mc, rows.shape[0])
+    nll = _expected_nll(_score(model, rows, y, eps), n_total, mc)
     return float(nll) + model.net.kl_to_prior()
 
 
@@ -321,12 +303,15 @@ def _cpus():
 def _predictive_blocks(model, x, y, mc, rng):
     """Log posterior-predictive densities, log-mean-exp'd over mc draws, of
     targets y (B,) -> (B,) or of a grid y (B, G) -> (B, G), scored in row
-    blocks of _block_rows rows.
+    blocks of _block_rows rows, each written into one preallocated result.
 
-    The rng first draws the activation noise every row shares.  Then
-    _run_blocks scores the blocks, each drawing its head noise in a deferred
-    _log_density_draws call, blocks in file order, and writing its rows of
-    one preallocated result.
+    The rng first draws the activation noise every row shares.  Threads,
+    the caller's among them, then take blocks in file order and draw each
+    block's head noise with a lock held, so the rng draws as on one thread,
+    and score it without the lock.  Once a block has raised, no thread
+    takes another, and the error of the first failing block in file order is
+    raised here: every block before it was taken earlier and has run to its
+    end.
     """
     if mc < 1:
         raise StructuralError(f"mc must be >= 1, got {mc}")
@@ -339,67 +324,39 @@ def _predictive_blocks(model, x, y, mc, rng):
     shared = draw_eps(model.net.arch, rng, mc, 1)
     out = np.empty(y.shape)
     starts = range(0, x.shape[0], step)
+    todo = iter(starts)
+    lock = threading.Lock()
+    errors = {}
+    state = np.geterr()
 
-    def draw(i):
-        score = _log_density_draws(model, x[i : i + step], y[i : i + step], mc, rng, shared,
-                                   defer=True)
-        return partial(_score_block, out[i : i + step], score)
+    def loop():  # on every thread under the caller's np.errstate
+        work = Workspace()
+        with np.errstate(**state):
+            while True:
+                with lock:
+                    i = None if errors else next(todo, None)
+                    if i is None:
+                        return
+                    try:
+                        rows, _ = model.head.prepare_inputs(x[i : i + step], rng)
+                    except BaseException as err:  # raised again on the calling thread
+                        errors[i] = err
+                        return
+                try:
+                    eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared]
+                    out[i : i + step] = logsumexp(
+                        _score(model, rows, y[i : i + step], eps, work), axis=0, mean=True)
+                except BaseException as err:
+                    with lock:
+                        errors[i] = err
+                del rows  # a thread holds one block's head rows at a time
 
     # threads pay for their start and their GIL hand-offs when the call's
     # layer arrays, whose NumPy loops release the GIL, fill more than one
     # block's units budget; a few small grid blocks run faster inline
     pool = x.shape[0] * _row_units(model, mc) > BLOCK_DRAW_UNITS
-    _run_blocks(starts, draw, min(_cpus(), MAX_WORKERS, len(starts)) if pool else 1)
-    return out
-
-
-def _score_block(out, score, work):
-    out[...] = logsumexp(score(work), axis=0, mean=True)
-
-
-def _run_blocks(items, draw, workers):
-    """Run ``draw(item)(work)`` for every item on ``workers`` threads, the
-    caller's among them, each thread passing its own Workspace; one worker
-    runs inline.
-
-    Threads take items in list order and call ``draw`` with a lock held, so
-    an rng it draws from is drawn in list order, and a thread holds one
-    item's draws at a time.  The function ``draw`` returns then runs without
-    the lock.  Worker threads run under the caller's np.errstate.  Once an
-    item has raised, no thread takes another, and the error of the first
-    failing item in list order is raised here: every item before it was
-    taken earlier and has run to its end.
-    """
-    lock = threading.Lock()
-    todo = iter(enumerate(items))
-    errors = {}
-
-    def loop():
-        work = Workspace()
-        while True:
-            with lock:
-                k, item = (None, None) if errors else next(todo, (None, None))
-                if k is None:
-                    return
-                try:
-                    task = draw(item)
-                except BaseException as err:  # raised again on the calling thread
-                    errors[k] = err
-                    return
-            try:
-                task(work)
-            except BaseException as err:
-                with lock:
-                    errors[k] = err
-            del task
-
-    state = np.geterr()
-
-    def worker():
-        with np.errstate(**state):
-            loop()
-
-    threads = [threading.Thread(target=worker) for _ in range(workers - 1)]
+    workers = min(_cpus(), MAX_WORKERS, len(starts)) if pool else 1
+    threads = [threading.Thread(target=loop) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:
@@ -409,6 +366,7 @@ def _run_blocks(items, draw, workers):
             thread.join()
     if errors:
         raise errors[min(errors)]
+    return out
 
 
 def predictive_log_density(model, x, y, mc, rng):

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +202,7 @@ def test_criterion_05_analytic_kl_matches_monte_carlo():
         mode = "fixed" if i % 2 == 0 else "learned"
         sigma_q = float(rng.uniform(0.2, 0.6))
         post = init_posterior(arch, seed=i, sigma_init=sigma_q, mode=mode)
-        vec = post.to_vector()
-        post = post.replace_from_vector(vec + 0.3 * rng.standard_normal(vec.size))
+        post = replace(post, vector=post.vector + 0.3 * rng.standard_normal(post.vector.size))
         half = output_dim // 2
         groups = {"low": tuple(range(half)), "high": tuple(range(half, output_dim))}
         prior = PriorConfig(
@@ -263,7 +263,7 @@ def test_criterion_05_analytic_kl_matches_monte_carlo():
     post = init_posterior(arch, seed=0, sigma_init=0.7, mode="fixed")
     net = BayesianMLP(arch, post, prior, groups)
     mu_p, _ = net.prior_mean_std_vectors()
-    net.posterior = post.replace_from_vector(mu_p)
+    net.posterior = replace(post, vector=mu_p)
     kl_zero = net.kl_to_prior()
 
     report(

@@ -1,6 +1,6 @@
 """Variational MLP: forward passes, priors, KL, and prior sampling."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -86,7 +86,7 @@ def test_posterior_mode_validation():
     learned = VariationalPosterior(arch, np.zeros(4))
     for bad in (np.zeros(3), np.zeros(5), np.zeros((2, 2))):  # too short, too long, 2-D
         with pytest.raises(StructuralError, match="layout needs"):
-            learned.replace_from_vector(bad)
+            replace(learned, vector=bad)
 
 
 def test_group_map_must_partition():
@@ -127,10 +127,12 @@ def test_init_posterior_properties():
 def test_vector_round_trip():
     for mode in ("fixed", "learned"):
         net = randomized(small_net(mode=mode))
-        vec = net.posterior.to_vector()
-        assert vec.size == net.posterior.n_trainable
-        again = net.posterior.replace_from_vector(vec)
-        assert np.array_equal(again.to_vector(), vec)
+        vec = net.posterior.vector.copy()
+        again = replace(net.posterior, vector=vec)
+        assert again.vector is vec
+        for a, b in zip([*again.w_means, *again.b_means],
+                        [*net.posterior.w_means, *net.posterior.b_means]):
+            assert np.array_equal(a, b)
 
 
 def test_posterior_fields_are_the_flat_store():
@@ -144,10 +146,9 @@ def test_views_share_the_flat_vector():
         arch = MLPArchitecture(int(rng.integers(1, 4)), hidden, int(rng.integers(1, 5)))
         for mode in ("fixed", "learned"):
             post = init_posterior(arch, trial, sigma_init=0.1, mode=mode)
-            v = rng.normal(size=post.n_trainable)
-            again = post.replace_from_vector(v)
-            assert again.to_vector() is again.vector
-            assert np.array_equal(again.to_vector(), v)
+            v = rng.normal(size=post.vector.size)
+            again = replace(post, vector=v)
+            assert again.vector is v
             views = [*again.w_means, *again.b_means]
             if mode == "learned":
                 views += [*again.w_logvars, *again.b_logvars]
@@ -381,11 +382,11 @@ def test_kl_matches_monte_carlo():
 
 def test_kl_gradients_match_finite_differences():
     net = randomized(small_net(mode="learned"), seed=31)
-    vec = net.posterior.to_vector()
+    vec = net.posterior.vector
     grad = net.kl_gradients()
 
     def kl_at(v):
-        net.posterior = net.posterior.replace_from_vector(v)
+        net.posterior = replace(net.posterior, vector=v)
         return net.kl_to_prior()
 
     h = 1e-6
@@ -398,7 +399,7 @@ def test_kl_gradients_match_finite_differences():
         fd = (up - dn) / (2 * h)
         denom = max(abs(grad[i]), abs(fd), 1e-8)
         assert abs(grad[i] - fd) / denom < 1e-6
-    net.posterior = net.posterior.replace_from_vector(vec)
+    net.posterior = replace(net.posterior, vector=vec)
 
 
 def test_kl_rejects_zero_stds():

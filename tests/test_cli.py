@@ -982,6 +982,27 @@ def test_grid_search_refuses_non_finite_valid_ll(toy, tmp_path, monkeypatch, cap
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("fractions, sizes", [
+    ("1,0,0", "20 train, 0 validation and 0 test"),
+    ("0.9,0.1,0", "18 train, 2 validation and 0 test"),
+], ids=["no-held-out-rows", "no-test-rows"])
+def test_grid_search_refuses_an_empty_held_out_split_before_training(tmp_path, capsys,
+                                                                     fractions, sizes):
+    toy = tmp_path / "toy"
+    assert run("gen-toy", f"out={toy}", "name=gaussian-shift", "n=20", "seed=1") == 0
+    out = tmp_path / "gs"
+    assert run(
+        "grid-search", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+        "iterations=2", f"split={fractions}", "grid.lambda=1;2", f"out={out}",
+    ) == 2
+    err = capsys.readouterr().err
+    assert f"setting split={fractions}" in err and f"the 20 rows split into {sizes} rows" in err
+    assert not out.exists()  # no combo_* directory, nor the grid's own
+    # train keeps accepting the split
+    assert run("train", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+               "iterations=2", f"split={fractions}", f"out={tmp_path / 'tr'}") == 0
+
+
 def test_empty_grid_exits_2(toy, tmp_path):
     assert run(
         "grid-search", f"data={toy / 'data.csv'}", "features=x",

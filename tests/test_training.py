@@ -38,7 +38,6 @@ from flowcde.training import (
     predictive_log_density,
     train,
 )
-from flowcde.training import _log_density_draws
 from mlp_reference import mlp_forward
 
 HALF_LOG_2PI = 0.9189385332046727
@@ -106,7 +105,7 @@ def test_build_is_the_hand_recipe(name, mode):
         assert model.net.output_groups == head.group_map() and model.net.prior == want
         assert model.net.posterior.mode == mode and model.net.posterior.sigma_q == post.sigma_q
         assert np.array_equal(model.trainable_vector(),
-                              np.concatenate([post.to_vector(), head.init_extras()]))
+                              np.concatenate([post.vector, head.init_extras()]))
 
 
 # -- free energy values ------------------------------------------------------
@@ -467,11 +466,23 @@ def _targets(y, grid, n):
     return y if grid is None else np.broadcast_to(grid, (n, grid.size))
 
 
+def _draws(model, x, y, mc, rng, shared=None):
+    """(mc, rows, ...) log densities of one block: its head rows, then the
+    call's shared activation noise broadcast over them, or per-row noise
+    drawn from rng when ``shared`` is None."""
+    rows, _ = model.head.prepare_inputs(x, rng)
+    if shared is None:
+        eps = draw_eps(model.net.arch, rng, mc, rows.shape[0])
+    else:
+        eps = [np.broadcast_to(z, (mc, rows.shape[0], z.shape[2])) for z in shared]
+    return training._score(model, rows, y, eps)
+
+
 @pytest.mark.parametrize("name", ["nf", "lv"])
 @pytest.mark.parametrize("curve", [False, True], ids=["targets", "curve"])
 def test_three_block_call_equals_three_one_block_calls(name, curve):
     # the call draws the shared activation noise first, then each block's
-    # head noise: three blocks are three _log_density_draws calls on it
+    # head noise: three blocks are three head draws under that one noise
     head = make_head(name, n_stages=2, n_noise=4)
     model = build_model(head, mode="learned", seed=6)
     mc = 64
@@ -483,8 +494,8 @@ def test_three_block_call_equals_three_one_block_calls(name, curve):
     whole = _predict(model, x, y, grid, mc, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     shared = draw_eps(model.net.arch, rng, mc, 1)
-    parts = [logsumexp(_log_density_draws(model, x[i : i + step], targets[i : i + step], mc,
-                                          rng, shared), axis=0, mean=True)
+    parts = [logsumexp(_draws(model, x[i : i + step], targets[i : i + step], mc, rng, shared),
+                       axis=0, mean=True)
              for i in range(0, n, step)]
     assert len(parts) == 3
     assert np.array_equal(whole, np.concatenate(parts))
@@ -507,10 +518,10 @@ def test_one_block_call_is_one_log_mean_exp_of_the_draws(name, curve):
     got = _predict(model, x, y, grid, mc, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     shared = draw_eps(model.net.arch, rng, mc, 1)
-    draws = _log_density_draws(model, x, _targets(y, grid, n), mc, rng, shared)
+    draws = _draws(model, x, _targets(y, grid, n), mc, rng, shared)
     assert np.array_equal(got, logsumexp(draws, axis=0, mean=True))
     # rows share the draw: per-row noise gives other digits
-    per_row = _log_density_draws(model, x, _targets(y, grid, n), mc, np.random.default_rng(5))
+    per_row = _draws(model, x, _targets(y, grid, n), mc, np.random.default_rng(5))
     assert not np.array_equal(got, logsumexp(per_row, axis=0, mean=True))
 
 
@@ -525,7 +536,7 @@ def test_one_row_call_keeps_the_per_row_draw(name, curve):
     grid = np.linspace(-3.0, 3.0, 41) if curve else None
     x, y = small_batch(n=1, seed=14)
     got = _predict(model, x, y, grid, mc, np.random.default_rng(6))
-    draws = _log_density_draws(model, x, _targets(y, grid, 1), mc, np.random.default_rng(6))
+    draws = _draws(model, x, _targets(y, grid, 1), mc, np.random.default_rng(6))
     assert np.array_equal(got, logsumexp(draws, axis=0, mean=True))
 
 
@@ -599,12 +610,13 @@ def test_every_block_fits_both_budgets_or_holds_one_row(monkeypatch, name, curve
     units = max(model.net.arch.widths[1:])
     n = 2 * _block_rows(model, mc, grid) + 1
     blocks = []
+    prepare = type(head).prepare_inputs
 
-    def spy(model, x, *args, **kwargs):
+    def spy(self, x, rng):
         blocks.append(x.shape[0])
-        return _log_density_draws(model, x, *args, **kwargs)
+        return prepare(self, x, rng)
 
-    monkeypatch.setattr(training, "_log_density_draws", spy)
+    monkeypatch.setattr(type(head), "prepare_inputs", spy)
     x, y = small_batch(x_dim=1, n=n, seed=15)
     out = _predict(model, x, y, grid, mc, np.random.default_rng(3))
     assert len(blocks) == 3 and sum(blocks) == n and np.isfinite(out).all()
@@ -835,9 +847,9 @@ def test_many_workers_score_each_block_once(monkeypatch):
     _workers(monkeypatch, 1)
     want = predictive_log_density(model, x, y, 20, np.random.default_rng(0))
     scored = []
-    score_block = training._score_block
-    monkeypatch.setattr(training, "_score_block",
-                        lambda out, *args: scored.append(out.shape[0]) or score_block(out, *args))
+    score = training._score
+    monkeypatch.setattr(training, "_score", lambda model, rows, y, *args:
+                        scored.append(y.shape[0]) or score(model, rows, y, *args))
     _workers(monkeypatch, 8)
     monkeypatch.setattr(training, "MAX_WORKERS", 8)
     interval = sys.getswitchinterval()
