@@ -5,9 +5,11 @@ Subcommands: train, eval, sample, heatmap, prior-sample, grid-search, gen-toy.
 Settings come from a flat `key = value` config file (--config) overridden by
 positional key=value arguments; every key has a documented default and
 domain (a value outside it exits 2 before the command runs), and unknown keys
-are reported exhaustively in one error.  Each artifact-writing command emits
-a manifest (the fully resolved settings plus the data file's sha256) that
-re-runs to bit-identical outputs on the same platform.
+are reported exhaustively in one error.  A command computes its outputs and
+returns them as (name, writer) pairs; `main` alone then makes the output
+directory and writes them, with a manifest (the fully resolved settings plus
+the data file's sha256) that re-runs to bit-identical outputs on the same
+platform.  So a command that fails leaves no file behind.
 
 Exit codes: 0 success, 2 configuration error or invalid setting value, 3 data
 error (a bad checkpoint too), 4 numeric error, 1 anything else.  The output
@@ -21,7 +23,6 @@ import argparse
 import hashlib
 import math
 import os
-import shutil
 import sys
 from itertools import product
 from pathlib import Path
@@ -185,7 +186,6 @@ SETTINGS = {
     "prior-sample": {
         "head": (_choice("nf", "mdn", "gauss"), "nf", "likelihood head"),
         **{k: _MODEL_KEYS[k] for k in ("n_stages", "n_components", "hidden", "sigma_w")},
-        "input_dim": (_POSITIVE_INT, "1", "conditioning dimension"),
         "lambdas": (_swept(_NON_NEGATIVE), "1.0", "lambda values to sweep"),
         "sigma_betas": (_swept(_NON_NEGATIVE), "1.0", "beta-hat prior stds to sweep"),
         "seeds": (_swept(_COUNT), "0", "parameter-draw seeds to sweep"),
@@ -206,6 +206,9 @@ SETTINGS = {
     },
 }
 SETTINGS["grid-search"] = dict(SETTINGS["train"])
+# every grid-search combination trains on one read of the data and is scored
+# with one mc_test into one out, so none of these can vary between them
+_SHARED_KEYS = (*_DATA_KEYS, "out", "mc_test")
 
 _META_KEYS = ("command", "version", "data_sha256")
 
@@ -251,6 +254,11 @@ def resolve_settings(command, config_path, overrides):
             name = key[len("grid."):]
             if name not in spec:
                 raise ConfigError(f"grid key {key!r} does not match a setting")
+            if name in _SHARED_KEYS:
+                raise ConfigError(
+                    f"grid key {key!r} cannot vary: every combination shares the "
+                    f"settings {', '.join(_SHARED_KEYS)}"
+                )
             grid[name] = provided.pop(key)
 
     unknown = sorted(k for k in provided if k not in spec)
@@ -269,20 +277,11 @@ def resolve_settings(command, config_path, overrides):
         except ValueError as err:
             raise ConfigError(f"setting {key}={raw[key]!r}: {err}") from None
 
-    if grid:
-        values["_grid_raw"] = grid
-        raw.update({f"grid.{k}": v for k, v in grid.items()})
+    raw.update({f"grid.{k}": v for k, v in grid.items()})
     return values, raw, meta
 
 
 # -- shared plumbing -------------------------------------------------------------
-
-
-def _out_dir(values):
-    root = Path(os.environ.get("FLOWCDE_OUT", "."))
-    out = root / values["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _sha256(path):
@@ -293,13 +292,33 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, command, raw, data_path=None):
+# Writers: each takes the file's path and writes what it was built with.
+
+
+def _manifest(command, raw, digest=None):
     lines = [f"command = {command}", f"version = {__version__}"]
-    if data_path is not None:
-        lines.append(f"data_sha256 = {_sha256(data_path)}")
-    for key in sorted(raw):
-        lines.append(f"{key} = {raw[key]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if digest is not None:
+        lines.append(f"data_sha256 = {digest}")
+    text = "\n".join(lines + [f"{key} = {raw[key]}" for key in sorted(raw)]) + "\n"
+    return lambda path: path.write_text(text)
+
+
+def _table(header, columns):
+    """CSV of equal-length columns under a header line."""
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            write_table(fh, columns)
+    return write
+
+
+def _grid(names, g1, g2, dens):
+    """CSV of one density per (g1[a], g2[b]) cell, a-major, at %.17g."""
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write(f"{names[0]},{names[1]},density\n")
+            write_grid(fh, g1, g2, dens)
+    return write
 
 
 def _require(values, key):
@@ -365,47 +384,37 @@ def _prior(values, head):
     return prior
 
 
-def _write_trace(path, traces):
-    stages = [s for s, trace in enumerate(traces, start=1) for _ in trace]
-    reports = [r for trace in traces for r in trace]
-    values = np.array([(r.expected_nll, r.kl, r.free_energy) for r in reports])
-    with open(path, "w") as fh:
-        fh.write("stage,iteration,expected_nll,kl,free_energy\n")
-        write_table(fh, [stages, [r.iteration for r in reports], *values.reshape(-1, 3).T])
+def _load(values, meta):
+    """Read, split and normalize the data file; returns (feature names, split
+    indices, (train, valid, test) raw rows, normalized train rows, stats)."""
+    ds = _read_csv(_data_file(values, meta), values["features"], values["targets"],
+                   values["cyclic"])
+    format_names(ds.feature_names + values["targets"])  # names the checkpoint can store
+    parts_ds, parts = split(ds, values["split"], values["split_seed"])
+    return (ds.feature_names, parts, parts_ds, *normalize(parts_ds[0]))
 
 
-def _fit(values, meta, scored=False):
-    """Load, split, normalize and train, then create the output directory and
-    write the artifacts into it; returns (out, checkpoint, valid, test).  A
-    run that fails before its artifacts are written leaves no file behind.
-    A ``scored`` run refuses a split with no validation or test rows."""
-    head = _head(values)
-    prior = _prior(values, head)
-    data = _data_file(values, meta)
+def _fit(values, head, prior, loaded):
+    """Train on loaded data; returns the run's files and its checkpoint."""
+    features, parts, (_, valid_ds, test_ds), norm_train, stats = loaded
     targets = values["targets"]
-    ds = _read_csv(data, values["features"], targets, values["cyclic"])
-    format_names(ds.feature_names + targets)  # names the checkpoint can store
-    (train_ds, valid_ds, test_ds), parts = split(ds, values["split"], values["split_seed"])
-    if scored and not (valid_ds.n and test_ds.n):
-        raise ConfigError(
-            f"setting split={','.join(f'{f:g}' for f in values['split'])}: grid-search scores "
-            f"each combination on its validation and test rows, but the {ds.n} rows split "
-            f"into {train_ds.n} train, {valid_ds.n} validation and {test_ds.n} test rows"
-        )
-    norm_train, stats = normalize(train_ds)
     model, traces = fit_chain(
         lambda n_inputs, seed: CdeModel.build(head, n_inputs, values["hidden"], seed,
                                               values["sigma_q"], values["mode"], prior),
         norm_train.x, norm_train.y, _train_config(values), values["order"], targets,
     )
-    out = _out_dir(values)
-    save_split_indices(out / "split.txt", parts)
-    save_csv(out / "valid.csv", valid_ds)
-    save_csv(out / "test.csv", test_ds)
-    _write_trace(out / "trace.csv", traces)
-    ckpt = Checkpoint(model, stats, ds.feature_names, values["cyclic"], targets)
-    save_checkpoint(out / "checkpoint.ckpt", ckpt)
-    return out, ckpt, valid_ds, test_ds
+    ckpt = Checkpoint(model, stats, features, values["cyclic"], targets)
+    stages = [s for s, trace in enumerate(traces, start=1) for _ in trace]
+    reports = [r for trace in traces for r in trace]
+    trace = np.array([(r.expected_nll, r.kl, r.free_energy) for r in reports]).reshape(-1, 3)
+    return [
+        ("split.txt", lambda path: save_split_indices(path, parts)),
+        ("valid.csv", lambda path: save_csv(path, valid_ds)),
+        ("test.csv", lambda path: save_csv(path, test_ds)),
+        ("trace.csv", _table("stage,iteration,expected_nll,kl,free_energy",
+                             [stages, [r.iteration for r in reports], *trace.T])),
+        ("checkpoint.ckpt", lambda path: save_checkpoint(path, ckpt)),
+    ], ckpt
 
 
 def _mean_ll(ckpt, raw_ds, mc, seed, raw_units):
@@ -448,34 +457,30 @@ def _normalize_condition(ckpt, condition):
 
 
 # -- commands -----------------------------------------------------------------------
+#
+# Each command returns (files, message): its outputs as (name relative to the
+# output directory, writer) pairs, and the line to print given that directory.
 
 
 def cmd_train(values, raw, meta):
-    out, _, _, _ = _fit(values, meta)
-    _write_manifest(out / "manifest.cfg", "train", raw, values["data"])
-    print(f"wrote {out / 'checkpoint.ckpt'}, trace.csv, manifest.cfg")
-    return 0
+    head = _head(values)
+    files, _ = _fit(values, head, _prior(values, head), _load(values, meta))
+    return files, lambda out: f"wrote {out / 'checkpoint.ckpt'}, trace.csv, manifest.cfg"
 
 
 def cmd_eval(values, raw, meta):
     ckpt = load_checkpoint(_require(values, "checkpoint"))
-    data = _data_file(values, meta)
-    ds = _read_csv(data, ckpt.features, ckpt.targets, ckpt.cyclic)
+    ds = _read_csv(_data_file(values, meta), ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
     n = ll.size
     mean = float(ll.mean())
     sem = float(ll.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    out = _out_dir(values)
-    with open(out / "pointwise.csv", "w") as fh:
-        fh.write("i,ll\n")
-        write_table(fh, [range(n), ll])
-    (out / "summary.txt").write_text(
-        f"n = {n}\nmean_ll = {mean:.17g}\nsem = {sem:.17g}\n"
-        f"raw_units = {str(values['raw_units']).lower()}\n"
-    )
-    _write_manifest(out / "manifest.cfg", "eval", raw, data)
-    print(f"mean_ll = {mean:.6f} +- {sem:.6f} (n={n})")
-    return 0
+    summary = (f"n = {n}\nmean_ll = {mean:.17g}\nsem = {sem:.17g}\n"
+               f"raw_units = {str(values['raw_units']).lower()}\n")
+    return [
+        ("pointwise.csv", _table("i,ll", [range(n), ll])),
+        ("summary.txt", lambda path: path.write_text(summary)),
+    ], lambda out: f"mean_ll = {mean:.6f} +- {sem:.6f} (n={n})"
 
 
 def cmd_sample(values, raw, meta):
@@ -486,29 +491,17 @@ def cmd_sample(values, raw, meta):
     rng = np.random.default_rng(values["seed"])
     n = values["n"]
     cols = denormalize_targets(ckpt.norm, sample_chain(ckpt.model, x_row, n, values["mc"], rng))
-    out = _out_dir(values)
-    with open(out / "samples.csv", "w") as fh:
-        fh.write(",".join(ckpt.targets) + "\n")
-        write_table(fh, cols.T)
-    _write_manifest(out / "manifest.cfg", "sample", raw)
-    print(f"wrote {n} draws to {out / 'samples.csv'}")
-    return 0
+    return ([("samples.csv", _table(",".join(ckpt.targets), cols.T))],
+            lambda out: f"wrote {n} draws to {out / 'samples.csv'}")
 
 
-def _refuse_nan(dens):
+def _refuse_nan(dens, name="heatmap.csv"):
     bad = np.argwhere(np.isnan(dens))
     if bad.size:
         raise NumericError(
-            f"density at grid cell {tuple(int(i) for i in bad[0])} is NaN "
-            f"({len(bad)} cells); refusing to write a heatmap"
+            f"density at grid cell {tuple(int(i) for i in bad[0])} of {name} is NaN "
+            f"({len(bad)} cells); refusing to write it"
         )
-
-
-def _write_grid(path, names, g1, g2, dens):
-    """CSV of one density per (g1[a], g2[b]) cell, a-major, at %.17g."""
-    with open(path, "w") as fh:
-        fh.write(f"{names[0]},{names[1]},density\n")
-        write_grid(fh, g1, g2, dens)
 
 
 _QUANTILE_LEVELS = np.array([0.5, 0.025, 0.975])
@@ -586,13 +579,11 @@ def _heatmap_1d(values, ckpt, cond):
     if values["raw_units"]:
         dens = dens / stats.y_std[0]
     emitted = np.minimum(dens, values["cap"]) if values["cap"] > 0 else dens
-    out = _out_dir(values)
-    _write_grid(out / "heatmap.csv", ("x", "y"), x_grid, y_grid, emitted)
+    files = [("heatmap.csv", _grid(("x", "y"), x_grid, y_grid, emitted))]
     if want_q:
-        with open(out / "quantiles.csv", "w") as fh:
-            fh.write("x,median,q025,q975\n")
-            write_table(fh, [x_grid, *denormalize_targets(stats, quantiles, 0).T])
-    return out
+        files.append(("quantiles.csv", _table(
+            "x,median,q025,q975", [x_grid, *denormalize_targets(stats, quantiles, 0).T])))
+    return files
 
 
 def _heatmap_2d(values, ckpt, cond):
@@ -616,107 +607,94 @@ def _heatmap_2d(values, ckpt, cond):
         dens = dens / (stats.y_std[a_idx] * stats.y_std[b_idx])
     if values["cap"] > 0:
         dens = np.minimum(dens, values["cap"])
-    out = _out_dir(values)
-    _write_grid(out / "heatmap.csv", model.chain_names, g_a, g_b, dens)
-    return out
+    return [("heatmap.csv", _grid(model.chain_names, g_a, g_b, dens))]
 
 
 def cmd_heatmap(values, raw, meta):
     ckpt = load_checkpoint(_require(values, "checkpoint"))
-    cond = _condition(ckpt, values["condition"])
     draw = _heatmap_2d if ckpt.kind == "autoreg" else _heatmap_1d
-    out = draw(values, ckpt, cond)  # it makes the output directory once its grid passes
-    _write_manifest(out / "manifest.cfg", "heatmap", raw)
-    print(f"wrote {out / 'heatmap.csv'}")
-    return 0
+    return (draw(values, ckpt, _condition(ckpt, values["condition"])),
+            lambda out: f"wrote {out / 'heatmap.csv'}")
 
 
 def cmd_prior_sample(values, raw, meta):
     head = _head(values)
-    arch = MLPArchitecture(values["input_dim"], values["hidden"], head.output_dim)
+    arch = MLPArchitecture(1, values["hidden"], head.output_dim)
     x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
     y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
-    out = _out_dir(values)
-    written = []
-    for seed in values["seeds"]:
-        for lam in values["lambdas"]:
-            for sb in values["sigma_betas"]:
-                prior = head.default_prior(values["sigma_w"], lam, sb)
-                dens = sample_prior_cde(arch, prior, head, seed, x_grid, y_grid)
-                name = f"prior_seed{seed}_lambda{lam:g}_beta{sb:g}.csv"
-                _write_grid(out / name, ("x", "y"), x_grid, y_grid, dens)
-                written.append(name)
-    _write_manifest(out / "manifest.cfg", "prior-sample", raw)
-    print(f"wrote {len(written)} prior grids to {out}")
-    return 0
+    grids = []
+    for seed, lam, sb in product(values["seeds"], values["lambdas"], values["sigma_betas"]):
+        prior = head.default_prior(values["sigma_w"], lam, sb)
+        dens = sample_prior_cde(arch, prior, head, seed, x_grid, y_grid)
+        name = f"prior_seed{seed}_lambda{lam:g}_beta{sb:g}.csv"
+        _refuse_nan(dens, name)
+        grids.append((name, _grid(("x", "y"), x_grid, y_grid, dens)))
+    return grids, lambda out: f"wrote {len(grids)} prior grids to {out}"
 
 
 def cmd_grid_search(values, raw, meta):
-    data = _data_file(values, meta)
-    grid_raw = values.pop("_grid_raw", {})
-    if not grid_raw:
+    grid = {k.removeprefix("grid."): v for k, v in raw.items() if k.startswith("grid.")}
+    if not grid:
         raise ConfigError("grid-search needs at least one grid.<setting> list")
     axes = []
-    for key in sorted(grid_raw):
-        options = [v.strip() for v in grid_raw[key].split(";") if v.strip()]
+    for key in sorted(grid):
+        options = [v.strip() for v in grid[key].split(";") if v.strip()]
         if not options:
             raise ConfigError(f"grid.{key} is empty")
         axes.append([(key, opt) for opt in options])
-    # every combination resolves as its own train run would, before any trains
+    # every combination resolves as its own train run would, before the data is read
     base = {k: v for k, v in raw.items() if not k.startswith("grid.")}
     runs = []
     for idx, combo in enumerate(product(*axes)):
         sub = {**base, **dict(combo), "out": str(Path(values["out"]) / f"combo_{idx:03d}")}
         overrides = [f"{k}={v}" for k, v in sub.items()]
         sub_values, sub_raw, _ = resolve_settings("train", None, overrides)
-        _prior(sub_values, _head(sub_values))
-        runs.append((combo, sub_values, sub_raw))
-    results = []
-    for idx, (combo, sub_values, sub_raw) in enumerate(runs):
-        combo_out, ckpt, valid_ds, test_ds = _fit(sub_values, {}, scored=True)
-        _write_manifest(combo_out / "manifest.cfg", "train", sub_raw, sub_values["data"])
-        valid_ll = float(
-            _mean_ll(ckpt, valid_ds, values["mc_test"], values["seed"], True).mean()
+        head = _head(sub_values)
+        runs.append((combo, sub_values, sub_raw, head, _prior(sub_values, head)))
+    loaded = _load(values, meta)
+    train_ds, valid_ds, test_ds = loaded[2]
+    if not (valid_ds.n and test_ds.n):
+        raise ConfigError(
+            f"setting split={','.join(f'{f:g}' for f in values['split'])}: grid-search scores "
+            f"each combination on its validation and test rows, but the "
+            f"{train_ds.n + valid_ds.n + test_ds.n} rows split into {train_ds.n} train, "
+            f"{valid_ds.n} validation and {test_ds.n} test rows"
         )
-        test_ll = float(
-            _mean_ll(ckpt, test_ds, values["mc_test"], values["seed"], True).mean()
-        )
+    digest = _sha256(values["data"])
+    files, results = [], []
+    for idx, (combo, sub_values, sub_raw, head, prior) in enumerate(runs):
+        fitted, ckpt = _fit(sub_values, head, prior, loaded)
+        fitted.append(("manifest.cfg", _manifest("train", sub_raw, digest)))
+        files += [(f"combo_{idx:03d}/{name}", write) for name, write in fitted]
+        valid_ll, test_ll = [
+            float(_mean_ll(ckpt, ds, values["mc_test"], values["seed"], True).mean())
+            for ds in (valid_ds, test_ds)
+        ]
         results.append((idx, combo, valid_ll, test_ll))
     results.sort(key=lambda r: (-r[2], r[0]))
-    out = _out_dir(values)
-    keys = sorted(grid_raw)
+    keys = sorted(grid)
     options = [dict(combo) for _, combo, _, _ in results]
-    with open(out / "results.csv", "w") as fh:
-        fh.write("rank,combo," + ",".join(keys) + ",valid_ll,test_ll\n")
-        write_table(fh, [
+    best_idx, _, best_valid, best_test = results[0]
+    best = dict(files)
+    return files + [
+        ("results.csv", _table("rank,combo," + ",".join(keys) + ",valid_ll,test_ll", [
             range(1, len(results) + 1),
             [idx for idx, _, _, _ in results],
             *([o[k].replace(",", ";") for o in options] for k in keys),
             np.array([vll for _, _, vll, _ in results]),
             np.array([tll for _, _, _, tll in results]),
-        ])
-    best_idx = results[0][0]
-    best_dir = out / f"combo_{best_idx:03d}"
-    shutil.copyfile(best_dir / "checkpoint.ckpt", out / "best_checkpoint.ckpt")
-    shutil.copyfile(best_dir / "manifest.cfg", out / "best_manifest.cfg")
-    _write_manifest(out / "manifest.cfg", "grid-search", raw, data)
-    print(
-        f"best combo {best_idx}: valid_ll = {results[0][2]:.6f}, "
-        f"test_ll = {results[0][3]:.6f}"
-    )
-    return 0
+        ])),
+        ("best_checkpoint.ckpt", best[f"combo_{best_idx:03d}/checkpoint.ckpt"]),
+        ("best_manifest.cfg", best[f"combo_{best_idx:03d}/manifest.cfg"]),
+    ], lambda out: f"best combo {best_idx}: valid_ll = {best_valid:.6f}, test_ll = {best_test:.6f}"
 
 
 def cmd_gen_toy(values, raw, meta):
     ds, truth = toy_generator(values["name"], values["n"], values["seed"])
-    out = _out_dir(values)
-    save_csv(out / "data.csv", ds)
-    with open(out / "truth.csv", "w") as fh:
-        fh.write(",".join(ds.feature_names) + ",true_ll\n")
-        write_table(fh, [*ds.x.T, truth])
-    _write_manifest(out / "manifest.cfg", "gen-toy", raw)
-    print(f"wrote {ds.n} rows to {out / 'data.csv'}")
-    return 0
+    return [
+        ("data.csv", lambda path: save_csv(path, ds)),
+        ("truth.csv", _table(",".join(ds.feature_names) + ",true_ll", [*ds.x.T, truth])),
+    ], lambda out: f"wrote {ds.n} rows to {out / 'data.csv'}"
 
 
 _DISPATCH = {
@@ -759,7 +737,14 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         values, raw, meta = resolve_settings(args.command, args.config, args.overrides)
-        return _DISPATCH[args.command](values, raw, meta)
+        files, message = _DISPATCH[args.command](values, raw, meta)
+        digest = _sha256(values["data"]) if "data" in values else None
+        out = Path(os.environ.get("FLOWCDE_OUT", ".")) / values["out"]
+        for name, write in [*files, ("manifest.cfg", _manifest(args.command, raw, digest))]:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            write(out / name)
+        print(message(out))
+        return 0
     except (ConfigError, StructuralError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

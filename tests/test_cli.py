@@ -7,6 +7,9 @@ is what's under test.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,18 @@ from flowcde.training import CdeModel, predictive_curve, predictive_log_density
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def run_in_subprocess(*args):
+    """(exit code, stdout, stderr) of the command in a fresh interpreter, where
+    NumPy's overflow warnings print instead of raising under the suite's
+    RuntimeWarning filter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "flowcde.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +449,7 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("prior-sample", "lambdas="),
         ("prior-sample", "sigma_betas=-1"),
         ("prior-sample", "head=lv"),
+        ("prior-sample", "input_dim=1"),  # its x grid is 1-D, so the network takes one input
         ("grid-search", "grid.sigma_q=0.01;0"),
         ("grid-search", "grid.mode=fixed;bogus"),
         ("grid-search", "grid.head=nf;bogus"),
@@ -568,6 +584,44 @@ def test_eval_warns_about_the_rows_it_drops(trained, tmp_path, capsys):
     assert "(n=5)" in printed.out
     pw = np.genfromtxt(out / "pointwise.csv", delimiter=",", names=True)
     assert np.array_equal(pw["i"], np.arange(5))  # kept rows, not file rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["eval-far-out-target", "heatmap-nan", "grid-search-inf-valid-ll",
+                                  "prior-sample-sigma-beta-nan", "prior-sample-lambda-nan"])
+def test_a_failing_command_leaves_no_output_directory(trained, toy, tmp_path, capsys,
+                                                       monkeypatch, case):
+    ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    far = tmp_path / "far.csv"
+    far.write_text("x,y\n0.1,0.05\n0.3,1e200\n")
+    if case == "grid-search-inf-valid-ll":
+        monkeypatch.setattr(cli, "predictive_log_density",
+                            lambda model, x, y, mc, rng: np.full(len(y), -np.inf))
+    args, message = {
+        "eval-far-out-target": (["eval", ckpt, f"data={far}", "mc=5"],
+                                "row 1: log predictive density is -inf"),
+        "heatmap-nan": (["heatmap", ckpt, "condition=nan", "x_points=3", "y_min=-1.7e308",
+                         "y_max=1.7e308", "y_points=5", "mc=3"], "of heatmap.csv is NaN"),
+        "grid-search-inf-valid-ll": (["grid-search", f"data={toy / 'data.csv'}", "features=x",
+                                      "hidden=4", "iterations=2", "mc_train=2",
+                                      "grid.n_stages=1;2"], "non-finite"),
+        # the flow's expm1 overflows: valid settings whose prior gives NaN densities
+        "prior-sample-sigma-beta-nan": (
+            ["prior-sample", "sigma_betas=1,800", "x_points=5", "y_points=9"],
+            "density at grid cell (0, 0) of prior_seed0_lambda1_beta800.csv is NaN"),
+        "prior-sample-lambda-nan": (
+            ["prior-sample", "lambdas=1e200", "x_points=5", "y_points=9"],
+            "density at grid cell (0, 0) of prior_seed0_lambda1e+200_beta1.csv is NaN"),
+    }[case]
+    out = tmp_path / "out"
+    if case.startswith("prior-sample"):
+        code, stdout, err = run_in_subprocess(*args, f"out={out}")
+    else:
+        code = run(*args, f"out={out}")
+        stdout, err = capsys.readouterr()
+    assert code == 4
+    assert "numeric error: " in err and message in err and "nan" not in stdout
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1001,6 +1055,42 @@ def test_grid_search_refuses_an_empty_held_out_split_before_training(tmp_path, c
     # train keeps accepting the split
     assert run("train", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
                "iterations=2", f"split={fractions}", f"out={tmp_path / 'tr'}") == 0
+
+
+@pytest.mark.parametrize("key, options", [
+    ("data", "a.csv;b.csv"), ("features", "x;y"), ("targets", "y;x"), ("cyclic", "x;y"),
+    ("split", "0.8,0.1,0.1;1,0,0"), ("split_seed", "0;1"), ("out", "a;b"), ("mc_test", "2;40"),
+])
+def test_grid_search_refuses_an_axis_every_combination_shares(toy, tmp_path, capsys,
+                                                               monkeypatch, key, options):
+    # every combination trains on one read of the data, scored with one
+    # mc_test into one out: such an axis is refused before any file is read
+    reads = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: reads.append(args))
+    out = tmp_path / "gs"
+    assert run("grid-search", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+               "iterations=2", f"grid.{key}={options}", f"out={out}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: grid key 'grid.{key}' cannot vary")
+    assert reads == []
+    assert not out.exists()
+
+
+def test_grid_search_reads_the_data_once(toy, tmp_path, monkeypatch):
+    reads = []
+
+    def spy(*args):
+        reads.append(args[0])
+        return load_csv(*args)
+
+    monkeypatch.setattr(cli, "load_csv", spy)
+    out = tmp_path / "gs"
+    assert run("grid-search", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+               "iterations=2", "mc_train=2", "mc_test=2", "grid.n_stages=1;2",
+               "grid.seed=0;1", f"out={out}") == 0
+    assert reads == [str(toy / "data.csv")]
+    assert len((out / "results.csv").read_text().splitlines()) == 5
+    assert sorted(p.name for p in out.glob("combo_*")) == [f"combo_{i:03d}" for i in range(4)]
 
 
 def test_empty_grid_exits_2(toy, tmp_path):
