@@ -38,7 +38,7 @@ from .training import (
     train,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AutoregModel",

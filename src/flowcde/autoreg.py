@@ -9,7 +9,9 @@ one-target CdeModel as a chain of one stage.
 
 Grid evaluation marginalizes missing conditioning features by averaging the
 predictive density over standard-normal draws for them (features are
-normalized, so their marginal is approximately unit normal).
+normalized, so their marginal is approximately unit normal).  A condition
+with no missing feature takes one pass, whatever the number of draws asked
+for, so its grid holds exp(joint_log_density) at the same seed and mc.
 """
 
 from __future__ import annotations
@@ -144,8 +146,10 @@ def density_grid(
     """Predictive density on a (first, second) target grid.
 
     condition is one feature vector with NaN marking unobserved features;
-    those are marginalized by averaging over standard-normal draws.
-    Axes follow the model's chain order.
+    those are marginalized by averaging over marginal_samples standard-normal
+    draws.  With no NaN there is nothing to average: one pass, the same
+    network draws joint_log_density takes at the same rng, and
+    marginal_samples is unused.  Axes follow the model's chain order.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -161,15 +165,16 @@ def density_grid(
     if g1.size == 0 or g2.size == 0:
         raise StructuralError("grids must be non-empty")
     missing = np.isnan(cond)
+    passes = marginal_samples if missing.any() else 1
     dens = np.zeros((g1.size, g2.size))
-    for _ in range(marginal_samples):
+    for _ in range(passes):
         xs = cond.copy()
         xs[missing] = rng.standard_normal(int(missing.sum()))
         l1 = predictive_curve(model.stage1, xs[None, :], g1, mc, rng)[0]
         rows2 = _stage_inputs(np.broadcast_to(xs, (g1.size, cond.size)), [g1], 1)
         l2 = predictive_curve(model.stage2, rows2, g2, mc, rng)
         dens += np.exp(l1[:, None] + l2)
-    dens /= marginal_samples
+    dens /= passes
     return dens
 
 

@@ -15,11 +15,15 @@ Exit codes: 0 success, 2 configuration error or invalid setting value, 3 data
 error (a bad checkpoint too), 4 numeric error, 1 anything else.  The output
 root defaults to the working directory and can be moved with the FLOWCDE_OUT
 environment variable.
+
+`run` is the process entry (`flowcde` and `python -m flowcde.cli`); unlike it,
+an in-process `main(argv)` call leaves the garbage collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import os
@@ -52,7 +56,7 @@ from .errors import ConfigError, DataError, FlowCdeError, NumericError, Structur
 from .heads import HEAD_SETTINGS, make_head
 from .training import CdeModel, TrainConfig, predictive_curve, predictive_log_density
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 # -- settings ------------------------------------------------------------------
@@ -175,7 +179,9 @@ SETTINGS = {
         "y2_min": (_FINITE, "-3.0", "second-target grid start (2D models)"),
         "y2_max": (_FINITE, "3.0", "second-target grid end"),
         "y2_points": (_POSITIVE_INT, "81", "second-target grid size"),
-        "marginal_samples": (_POSITIVE_INT, "10", "draws for marginalized features (2D)"),
+        "marginal_samples": (_POSITIVE_INT, "10",
+                             "draws for the nan features of a 2D condition; unused when it "
+                             "has none"),
         "mc": (_POSITIVE_INT, "20", "network draws to mix over"),
         "seed": (_COUNT, "0", "evaluation noise seed"),
         "cap": (_NON_NEGATIVE, "0", "cap emitted densities at this value (0 = uncapped)"),
@@ -319,6 +325,17 @@ def _grid(names, g1, g2, dens):
             fh.write(f"{names[0]},{names[1]},density\n")
             write_grid(fh, g1, g2, dens)
     return write
+
+
+def _axis(values, name):
+    """The `name` grid: `name`_points nodes from `name`_min to `name`_max.
+    A span that overflows a float would make NaN nodes, so it is refused."""
+    lo, hi = values[f"{name}_min"], values[f"{name}_max"]
+    if not math.isfinite(hi - lo):
+        raise ConfigError(
+            f"setting {name}_max={hi!r}: the span from {name}_min={lo!r} overflows a float"
+        )
+    return np.linspace(lo, hi, values[f"{name}_points"])
 
 
 def _require(values, key):
@@ -565,11 +582,11 @@ def _heatmap_1d(values, ckpt, cond):
     j = sweep[0]
     if ckpt.features[j] in ckpt.cyclic:
         raise ConfigError("cannot sweep a cyclic feature")
-    x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
+    x_grid = _axis(values, "x")
     rows_raw = np.tile(np.asarray(cond, dtype=float), (x_grid.size, 1))
     rows_raw[:, j] = x_grid
     xn = normalize_features(stats, rows_raw, ckpt.features, ckpt.cyclic)
-    y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
+    y_grid = _axis(values, "y")
     yn = normalize_targets(stats, y_grid, 0)
     rng = np.random.default_rng(values["seed"])
     curves = predictive_curve(ckpt.model, xn, yn, values["mc"], rng)  # (Gx, Gy) log
@@ -591,8 +608,8 @@ def _heatmap_2d(values, ckpt, cond):
     model = ckpt.model
     row = _normalize_condition(ckpt, cond)
     a_idx, b_idx = model.order
-    g_a = np.linspace(values["y_min"], values["y_max"], values["y_points"])
-    g_b = np.linspace(values["y2_min"], values["y2_max"], values["y2_points"])
+    g_a = _axis(values, "y")
+    g_b = _axis(values, "y2")
     dens = density_grid(
         model,
         row,
@@ -620,8 +637,7 @@ def cmd_heatmap(values, raw, meta):
 def cmd_prior_sample(values, raw, meta):
     head = _head(values)
     arch = MLPArchitecture(1, values["hidden"], head.output_dim)
-    x_grid = np.linspace(values["x_min"], values["x_max"], values["x_points"])
-    y_grid = np.linspace(values["y_min"], values["y_max"], values["y_points"])
+    x_grid, y_grid = _axis(values, "x"), _axis(values, "y")
     grids = []
     for seed, lam, sb in product(values["seeds"], values["lambdas"], values["sigma_betas"]):
         prior = head.default_prior(values["sigma_w"], lam, sb)
@@ -759,5 +775,13 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry.  gc.freeze() moves every object the imports made
+    into the collector's permanent generation, which no collection walks,
+    the one at interpreter exit included; outputs do not change."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -171,6 +171,21 @@ def test_marginalizing_an_ignored_feature_changes_nothing():
     assert np.allclose(a, np.outer(phi(g1), phi(g2)), rtol=1e-9)
 
 
+def test_an_observed_condition_takes_one_pass():
+    # with no feature to marginalize there is nothing to average: one pass,
+    # on the network draws joint_log_density takes at the same seed and mc
+    model = autoreg(n_stages=2, sigma_q=0.3, zero=False)
+    g1 = np.linspace(-1.5, 1.5, 9)
+    g2 = np.linspace(-1.0, 2.0, 8)
+    one, ten = (density_grid(model, [0.4], g1, g2, marginal_samples=m, mc=5,
+                             rng=np.random.default_rng(6)) for m in (1, 10))
+    assert np.array_equal(one, ten)
+    nodes = np.array([(a, b) for a in g1 for b in g2])
+    ll = joint_log_density(model, np.full((nodes.shape[0], 1), 0.4), nodes, 5,
+                           np.random.default_rng(6))
+    np.testing.assert_allclose(one, np.exp(ll).reshape(g1.size, g2.size), rtol=1e-12, atol=0)
+
+
 def test_true_two_cluster_grid_mass_and_coverage():
     xv = 0.5
     g = np.linspace(-3.5, 3.5, 141)

@@ -6,6 +6,7 @@ is what's under test.
 """
 
 import csv
+import gc
 import math
 import os
 import subprocess
@@ -18,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowcde import autoreg, cli
 from flowcde.autoreg import joint_log_density, sample_chain
-from flowcde import cli
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
 from flowcde.data import (
@@ -43,16 +44,20 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def python(*argv):
+    """(exit code, stdout, stderr) of a fresh interpreter that imports this flowcde."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_in_subprocess(*args):
     """(exit code, stdout, stderr) of the command in a fresh interpreter, where
     NumPy's overflow warnings print instead of raising under the suite's
     RuntimeWarning filter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-m", "flowcde.cli", *map(str, args)], env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    return python("-m", "flowcde.cli", *map(str, args))
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +443,10 @@ def test_corrupt_checkpoint_exits_3(trained, tmp_path, capsys, edits):
         ("heatmap-2d", "y_points=-1"),
         ("heatmap-2d", "y2_points=0"),
         ("heatmap-2d", "y2_points=-1"),
+        # y_max - y_min overflows a float, which would make NaN grid nodes
+        ("heatmap", "y_min=-1.7e308 y_max=1.7e308"),
+        ("heatmap-2d", "y2_min=-1.7e308 y2_max=1.7e308"),
+        ("prior-sample", "x_min=-1e308 x_max=1e308"),
         # each setting's domain is checked before the command runs
         ("gen-toy", "seed=-1"),
         ("train", "seed=-1"),
@@ -586,6 +595,11 @@ def test_eval_warns_about_the_rows_it_drops(trained, tmp_path, capsys):
     assert np.array_equal(pw["i"], np.arange(5))  # kept rows, not file rows
 
 
+def _nan_curve(model, x, y_grid, mc, rng):
+    """A predictive_curve stand-in whose every log density is NaN."""
+    return np.full((len(x), len(y_grid)), np.nan)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", ["eval-far-out-target", "heatmap-nan", "grid-search-inf-valid-ll",
                                   "prior-sample-sigma-beta-nan", "prior-sample-lambda-nan"])
@@ -597,11 +611,13 @@ def test_a_failing_command_leaves_no_output_directory(trained, toy, tmp_path, ca
     if case == "grid-search-inf-valid-ll":
         monkeypatch.setattr(cli, "predictive_log_density",
                             lambda model, x, y, mc, rng: np.full(len(y), -np.inf))
+    if case == "heatmap-nan":
+        monkeypatch.setattr(cli, "predictive_curve", _nan_curve)
     args, message = {
         "eval-far-out-target": (["eval", ckpt, f"data={far}", "mc=5"],
                                 "row 1: log predictive density is -inf"),
-        "heatmap-nan": (["heatmap", ckpt, "condition=nan", "x_points=3", "y_min=-1.7e308",
-                         "y_max=1.7e308", "y_points=5", "mc=3"], "of heatmap.csv is NaN"),
+        "heatmap-nan": (["heatmap", ckpt, "condition=nan", "x_points=3", "y_points=5", "mc=3"],
+                        "of heatmap.csv is NaN"),
         "grid-search-inf-valid-ll": (["grid-search", f"data={toy / 'data.csv'}", "features=x",
                                       "hidden=4", "iterations=2", "mc_train=2",
                                       "grid.n_stages=1;2"], "non-finite"),
@@ -779,15 +795,14 @@ def test_heatmap_cap(trained, tmp_path):
     assert hm["density"].max() <= 0.05 + 1e-15
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_heatmap_refuses_nan_density(trained, tmp_path, capsys):
-    # targets near the largest float overflow the flow's stages to inf/inf
+def test_heatmap_refuses_nan_density(trained, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "predictive_curve", _nan_curve)
     out = tmp_path / "hmnan"
     assert run(
         "heatmap",
         f"checkpoint={trained / 'checkpoint.ckpt'}",
         "condition=nan",
-        "x_points=3", "y_min=-1.7e308", "y_max=1.7e308", "y_points=5",
+        "x_points=3", "y_points=5",
         "mc=3",
         f"out={out}",
     ) == 4
@@ -1182,18 +1197,30 @@ def test_autoreg_heatmap_mass(trained2, tmp_path):
     assert mass == pytest.approx(1.0, abs=5e-2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path):
+def test_autoreg_heatmap_refuses_nan_density(trained2, tmp_path, monkeypatch):
+    monkeypatch.setattr(autoreg, "predictive_curve", _nan_curve)
     out = tmp_path / "hmnan"
     assert run(
         "heatmap",
         f"checkpoint={trained2 / 'checkpoint.ckpt'}",
         "condition=0.5",
-        "y_points=5", "y2_min=-1.7e308", "y2_max=1.7e308", "y2_points=5",
+        "y_points=5", "y2_points=5",
         "marginal_samples=1", "mc=3",
         f"out={out}",
     ) == 4
     assert not (out / "heatmap.csv").exists()
+
+
+def test_autoreg_heatmap_at_an_observed_condition_ignores_marginal_samples(trained2, tmp_path):
+    # no nan feature, nothing to marginalize: one pass, whatever marginal_samples says
+    grids = []
+    for m in (1, 10):
+        out = tmp_path / f"hm{m}"
+        assert run("heatmap", f"checkpoint={trained2 / 'checkpoint.ckpt'}", "condition=0.5",
+                   "y_points=9", "y2_points=7", "mc=3", f"marginal_samples={m}",
+                   f"out={out}") == 0
+        grids.append((out / "heatmap.csv").read_bytes())
+    assert grids[0] == grids[1]
 
 
 def test_swapped_chain_train_sample_eval_heatmap(tmp_path):
@@ -1340,3 +1367,45 @@ def test_output_root_env_var(toy, tmp_path, monkeypatch):
     monkeypatch.setenv("FLOWCDE_OUT", str(tmp_path))
     assert run("gen-toy", "n=10", "out=rooted") == 0
     assert (tmp_path / "rooted" / "data.csv").exists()
+
+
+# -- the process entry ----------------------------------------------------------------
+
+
+def test_exit_codes_reach_the_shell(trained, tmp_path):
+    ckpt = f"checkpoint={trained / 'checkpoint.ckpt'}"
+    far = tmp_path / "far.csv"
+    far.write_text("x,y\n0.1,0.05\n0.3,1e200\n")
+    for code, args in [
+        (0, ["sample", ckpt, "condition=0.5", "n=5", "mc=2"]),
+        (2, ["sample", ckpt, "condition=0.5", "bogus=1"]),
+        (3, ["eval", ckpt, f"data={tmp_path / 'missing.csv'}"]),
+        (4, ["eval", ckpt, f"data={far}", "mc=2"]),
+    ]:
+        assert run_in_subprocess(*args, f"out={tmp_path / str(code)}")[0] == code, args
+
+
+def test_a_process_writes_what_an_in_process_call_writes(trained, tmp_path, monkeypatch):
+    args = ["sample", f"checkpoint={trained / 'checkpoint.ckpt'}", "condition=0.5", "n=50",
+            "mc=4", "seed=3", "out=s"]
+    monkeypatch.setenv("FLOWCDE_OUT", str(tmp_path / "process"))
+    assert run_in_subprocess(*args)[0] == 0
+    monkeypatch.setenv("FLOWCDE_OUT", str(tmp_path / "call"))
+    assert run(*args) == 0
+    for name in ("samples.csv", "manifest.cfg"):
+        assert ((tmp_path / "process" / "s" / name).read_bytes()
+                == (tmp_path / "call" / "s" / name).read_bytes())
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run("gen-toy", "n=20", f"out={tmp_path / 'call'}") == 0
+    assert gc.get_freeze_count() == frozen
+    # run() freezes the import-time heap, which then holds thousands of objects
+    out = f"out={tmp_path / 'process'}"
+    code, stdout, stderr = python("-c", (
+        "import atexit, gc, sys; from flowcde import cli; "
+        "atexit.register(lambda: print(gc.get_freeze_count())); "
+        f"sys.argv[1:] = ['gen-toy', 'n=20', {out!r}]; cli.run()"))
+    assert code == 0, stderr
+    assert int(stdout.split()[-1]) > 1000
