@@ -1,38 +1,42 @@
 #!/usr/bin/env python3
 """Heteroscedastic-bimodal benchmark: flow head against the baselines.
 
-Trains a 5-stage flow head, a 5-component mixture head, a latent-variable
-head, and the homoscedastic Gaussian baseline on the same draw of the
-heteroscedastic-bimodal generator, then prints held-out log-likelihood in
-raw units next to the generator's oracle.  A density heatmap CSV for the
-flow model is written alongside.
+Three `flowcde` runs: `gen-toy` draws the heteroscedastic-bimodal data, one
+`grid-search` trains a 5-stage flow head, a 5-component mixture head, a
+latent-variable head and the homoscedastic Gaussian baseline on its train
+split, and `heatmap` writes the flow model's density grid.  The script then
+prints each head's held-out log-likelihood in raw units (the `test_ll` of
+`results.csv`) next to the generator's oracle on the same test rows.  A
+failing run exits with the CLI's exit code.
 
 Example:
     python3 scripts/bimodal_experiment.py --out out/bimodal --iterations 600
 """
 
 import argparse
-import time
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from flowcde.data import (apply_stats, normalize, normalize_features, normalize_targets,
-                          toy_generator, toy_true_log_density, write_grid)
-from flowcde.heads import make_head
-from flowcde.training import (
-    CdeModel,
-    TrainConfig,
-    predictive_curve,
-    predictive_log_density,
-    train,
-)
+from flowcde import cli
+from flowcde.data import toy_true_log_density
+
+HEADS = ("nf", "mdn", "lv", "gauss")
+
+
+def run(*argv):
+    """cli.main(argv); a failing command ends the script with its exit code."""
+    code = cli.main(list(argv))
+    if code:
+        sys.exit(code)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-train", type=int, default=5000)
-    ap.add_argument("--n-test", type=int, default=1000)
+    ap.add_argument("--n-test", type=int, default=1000,
+                    help="test rows; as many validation rows rank the heads")
     ap.add_argument("--iterations", type=int, default=600)
     ap.add_argument("--batch-size", type=int, default=100)
     ap.add_argument("--hidden", type=int, default=50)
@@ -41,53 +45,34 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=Path, default=Path("out/bimodal"))
     args = ap.parse_args()
+    out = args.out.resolve()
 
-    train_ds, _ = toy_generator("heteroscedastic-bimodal", args.n_train, seed=11)
-    test_ds, _ = toy_generator("heteroscedastic-bimodal", args.n_test, seed=12)
-    ntrain, stats = normalize(train_ds)
-    ntest = apply_stats(stats, test_ds)
-    oracle = toy_true_log_density(
-        "heteroscedastic-bimodal", test_ds.x, test_ds.y
-    ).mean()
+    n = args.n_train + 2 * args.n_test
+    run("gen-toy", "name=heteroscedastic-bimodal", f"n={n}", "seed=11", f"out={out / 'data'}")
+    # the split takes floor(f * n) train and validation rows and leaves the
+    # rest as test rows; half a row keeps rounding from flooring one short
+    split = [(args.n_train + 0.5) / n, (args.n_test + 0.5) / n, (args.n_test - 1) / n]
+    run("grid-search", f"data={out / 'data' / 'data.csv'}",
+        "split=" + ",".join(map(repr, split)), "grid.head=" + ";".join(HEADS),
+        f"iterations={args.iterations}", f"batch_size={args.batch_size}",
+        f"hidden={args.hidden}", f"mc_train={args.mc_train}", f"mc_test={args.mc_test}",
+        f"seed={args.seed}", f"out={out / 'search'}")
 
-    cfg = TrainConfig(
-        learning_rate=0.005,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        mc_samples_train=args.mc_train,
-        seed=args.seed,
-    )
-    print(f"oracle held-out LL: {oracle:+.4f} nats (raw units)")
-    results = {}
-    for name in ("nf", "mdn", "lv", "gauss"):
-        t0 = time.perf_counter()
-        head = make_head(name, n_stages=5, n_components=5, n_noise=5)
-        model = CdeModel.build(head, 1, (args.hidden,), args.seed, 0.01)
-        train(model, ntrain.x, ntrain.y[:, 0], cfg)
-        ll = predictive_log_density(
-            model, ntest.x, ntest.y[:, 0], args.mc_test, np.random.default_rng(1)
-        ).mean() + stats.log_jacobian
-        results[name] = (model, ll)
-        print(
-            f"{name:>5}: held-out LL {ll:+.4f}  (oracle gap {oracle - ll:+.4f},"
-            f" {time.perf_counter() - t0:.0f}s)"
-        )
+    results = np.genfromtxt(out / "search" / "results.csv", delimiter=",", names=True,
+                            dtype=None, encoding="utf-8")
+    test = np.loadtxt(out / "search" / "combo_000" / "test.csv", delimiter=",", skiprows=1,
+                      ndmin=2)
+    oracle = toy_true_log_density("heteroscedastic-bimodal", test[:, 0], test[:, 1]).mean()
+    print(f"oracle held-out LL: {oracle:+.4f} nats (raw units, {len(test)} test rows)")
+    for name in HEADS:
+        ll = float(results["test_ll"][results["head"] == name][0])
+        print(f"{name:>5}: held-out LL {ll:+.4f}  (oracle gap {oracle - ll:+.4f})")
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    nf_model = results["nf"][0]
-    x_grid = np.linspace(-2.0, 2.0, 60)
-    y_grid = np.linspace(
-        float(test_ds.y.min()) - 0.3, float(test_ds.y.max()) + 0.3, 121
-    )
-    xn = normalize_features(stats, x_grid[:, None], train_ds.feature_names)
-    yn = normalize_targets(stats, y_grid, 0)
-    curves = predictive_curve(nf_model, xn, yn, args.mc_test, np.random.default_rng(2))
-    dens = np.exp(curves) / stats.y_std[0]
-    path = args.out / "nf_heatmap.csv"
-    with open(path, "w") as fh:
-        fh.write("x,y,density\n")
-        write_grid(fh, x_grid, y_grid, dens)
-    print(f"flow-density heatmap written to {path}")
+    # combo_000 trained HEADS[0], the flow head
+    run("heatmap", f"checkpoint={out / 'search' / 'combo_000' / 'checkpoint.ckpt'}",
+        "x_min=-2", "x_max=2", "x_points=60", f"y_min={float(test[:, 1].min()) - 0.3!r}",
+        f"y_max={float(test[:, 1].max()) + 0.3!r}", "y_points=121", f"mc={args.mc_test}",
+        f"seed={args.seed}", f"out={out / 'nf_heatmap'}")
 
 
 if __name__ == "__main__":

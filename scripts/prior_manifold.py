@@ -2,23 +2,26 @@
 """Visualise the prior over conditional densities induced by the flow head.
 
 For a fixed parameter draw (one epsilon, reused across every setting) this
-sweeps the output-weight scale lambda and the beta-hat prior scale, writes
-one density-grid CSV per combination, and prints how the across-x spread of
-every flow parameter grows with lambda.  With sigma-beta 0 each column of
-the grid stays an exact unit Gaussian, so the sweep isolates what each knob
-adds: lambda buys input dependence, sigma-beta buys non-Gaussian shape.
+sweeps the output-weight scale lambda and the beta-hat prior scale with one
+`flowcde prior-sample` run, which writes one density-grid CSV per combination
+and a manifest, then prints how the across-x spread of every flow parameter
+grows with lambda.  With sigma-beta 0 each column of the grid stays an exact
+unit Gaussian, so the sweep isolates what each knob adds: lambda buys input
+dependence, sigma-beta buys non-Gaussian shape.  A failing run exits with the
+CLI's exit code.
 
 Example:
     python3 scripts/prior_manifold.py --out out/prior --seed 7
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from flowcde.bnn import MLPArchitecture, prior_outputs, sample_prior_cde
-from flowcde.data import write_grid
+from flowcde import cli
+from flowcde.bnn import MLPArchitecture, prior_outputs
 from flowcde.heads import make_head
 
 
@@ -32,31 +35,26 @@ def main():
     ap.add_argument("--out", type=Path, default=Path("out/prior"))
     args = ap.parse_args()
 
+    code = cli.main([
+        "prior-sample", "head=nf", f"n_stages={args.n_stages}", f"hidden={args.hidden}",
+        f"seeds={args.seed}", "lambdas=" + ",".join(map(repr, args.lambdas)),
+        "sigma_betas=" + ",".join(map(repr, args.sigma_betas)),
+        "x_min=-2", "x_max=2", "x_points=40", "y_min=-8", "y_max=8", "y_points=161",
+        f"out={args.out.resolve()}",
+    ])
+    if code:
+        sys.exit(code)
+
+    # the same epsilon under a growing lambda: across-x spread of each output
     head = make_head("nf", n_stages=args.n_stages)
     arch = MLPArchitecture(1, (args.hidden,), head.output_dim)
     x_grid = np.linspace(-2.0, 2.0, 40)
-    y_grid = np.linspace(-8.0, 8.0, 161)
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    for lam in args.lambdas:
-        for sb in args.sigma_betas:
-            prior = head.default_prior(1.0, lam, sb)
-            dens = sample_prior_cde(arch, prior, head, args.seed, x_grid, y_grid)
-            path = args.out / f"prior_lambda{lam:g}_beta{sb:g}.csv"
-            with open(path, "w") as fh:
-                fh.write("x,y,density\n")
-                write_grid(fh, x_grid, y_grid, dens)
-    print(f"wrote {len(args.lambdas) * len(args.sigma_betas)} grids to {args.out}")
-
-    # the same epsilon under a growing lambda: across-x spread of each output
     print("\nacross-x std of the flow parameter outputs (fixed draw):")
-    header = "lambda " + " ".join(f"w{j:<7d}" for j in range(head.output_dim))
-    print(header)
+    print("lambda " + " ".join(f"w{j:<7d}" for j in range(head.output_dim)))
     for lam in args.lambdas:
         prior = head.default_prior(1.0, lam, 1.0)
         omega = prior_outputs(arch, prior, head.group_map(), args.seed, x_grid[:, None])
-        spread = omega.std(axis=0)
-        print(f"{lam:<6g} " + " ".join(f"{s:8.4f}" for s in spread))
+        print(f"{lam:<6g} " + " ".join(f"{s:8.4f}" for s in omega.std(axis=0)))
 
 
 if __name__ == "__main__":
