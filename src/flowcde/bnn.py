@@ -24,6 +24,11 @@ own bias prior (mean, std) and a zero-mean weight prior of the same std;
 all earlier layers share the zero-mean sigma_w prior.  The groups and their
 priors are the head's (``group_map()``, ``default_prior()``).
 
+This module is the network alone: it scores no head density.  A prior draw
+(``sample_prior_parameters``) is a sigma_q = 0 posterior; under a head
+(``training.CdeModel.prior_draw``) its density grid goes through
+``training.predictive_curve`` like every other grid.
+
 One forward pass serves evaluation and training: written with the generic
 math of :mod:`flowcde.tape`, it runs on posterior arrays (``forward_np``) or
 records itself on a tape from tape-leaf parameters (``forward_tape``).  Both
@@ -64,7 +69,6 @@ __all__ = [
     "prior_mean_std_vectors",
     "sample_prior_parameters",
     "prior_outputs",
-    "sample_prior_cde",
 ]
 
 
@@ -456,18 +460,3 @@ def prior_outputs(arch, prior, output_groups, seed, x):
     net = BayesianMLP(arch, post, prior, output_groups)
     return net.forward_np(x, [np.zeros((1, 1, u)) for u in arch.widths[1:]])[0]
 
-
-def sample_prior_cde(arch, prior, head, seed, x_grid, y_grid):
-    """Density grid (len(x_grid), len(y_grid)) of one prior-sampled CDE.
-
-    The head scores the whole grid in one call, at its initial extras; it
-    must add no network inputs of its own (``head.extra_input_dim == 0``).
-    """
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if x_grid.size == 0 or y_grid.size == 0:
-        raise StructuralError("grids must be non-empty")
-    xs = x_grid.reshape(-1, 1) if x_grid.ndim == 1 else x_grid
-    omega = prior_outputs(arch, prior, head.group_map(), seed, xs)
-    y = np.broadcast_to(y_grid, (xs.shape[0], y_grid.size))
-    return np.exp(head.log_density_rows_np(omega[None], y, head.init_extras())[0])

@@ -1,17 +1,19 @@
 """Self-describing text checkpoints.
 
-A checkpoint is a flat `key = value` file (same philosophy as run configs):
-scalars are printed directly, arrays as space-separated %.17g values so a
-save -> load -> save cycle is byte-identical.  It carries everything needed
-to evaluate a fitted model on new raw data: head configuration, architecture,
-posterior, prior, head extras, the normalization statistics, the raw-column
-schema, and (for two-dimensional models) the chain ordering.
+A checkpoint is a flat `key = value` file, read and written by the same
+``read_kv`` and ``write_kv`` as run configs and manifests: scalars are
+printed directly, arrays as space-separated %.17g values so a save -> load
+-> save cycle is byte-identical.  It carries everything needed to evaluate a
+fitted model on new raw data: head configuration, architecture, posterior,
+prior, head extras, the normalization statistics, the raw-column schema,
+and (for two-dimensional models) the chain ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +31,9 @@ from .errors import DataError
 from .heads import HEAD_SETTINGS, make_head
 from .training import CdeModel
 
-__all__ = ["Checkpoint", "format_names", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "Checkpoint", "format_names", "load_checkpoint", "read_kv", "save_checkpoint", "write_kv",
+]
 
 _FORMAT = "flowcde-checkpoint-v1"
 
@@ -109,10 +113,10 @@ def _write_model(put, prefix, model):
 
 
 def save_checkpoint(path, ckpt):
-    lines = [f"format = {_FORMAT}", f"kind = {ckpt.kind}"]
+    pairs = [("format", _FORMAT), ("kind", ckpt.kind)]
 
     def put(key, value):
-        lines.append(f"{key} = {value}")
+        pairs.append((key, value))
 
     put("schema.features", format_names(ckpt.features))
     put("schema.cyclic", format_names(ckpt.cyclic))
@@ -135,28 +139,37 @@ def save_checkpoint(path, ckpt):
         _write_model(put, "stage2.", ckpt.model.stage2)
     else:
         _write_model(put, "", ckpt.model)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_kv(path, pairs)
 
 
-def _read_kv(path):
-    kv = {}
+def read_kv(path, error, what):
+    """The pairs of a flat `key = value` file, the one format of configs,
+    manifests and checkpoints.  Blank and `#` lines are skipped; every other
+    line splits at its first '=' into a stripped key and value.  A file that
+    cannot be read (``what`` names it), a line with no '=' and a repeated key
+    raise ``error``."""
     try:
-        fh = open(path)
+        text = Path(path).read_text()
     except OSError as err:
-        raise DataError(f"cannot read checkpoint {path}: {err}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if " = " not in line:
-                raise DataError(f"{path}: line {lineno} is not 'key = value'")
-            key, _, value = line.partition(" = ")
-            if key in kv:
-                raise DataError(f"{path}: duplicate key {key!r}")
-            kv[key] = value
+        raise error(f"cannot read {what} {path}: {err}") from None
+    kv = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}: line {lineno} is not 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in kv:
+            raise error(f"{path}: duplicate key {key!r}")
+        kv[key] = value.strip()
     return kv
+
+
+def write_kv(path, pairs):
+    """Write (key, value) pairs as a flat `key = value` file, one a line."""
+    Path(path).write_text("".join(f"{key} = {value}\n" for key, value in pairs))
 
 
 class _Reader:
@@ -228,8 +241,7 @@ def load_checkpoint(path):
 
 
 def _read_checkpoint(path):
-    kv = _read_kv(path)
-    r = _Reader(path, kv)
+    r = _Reader(path, read_kv(path, DataError, "checkpoint"))
     fmt = r.take("format")
     if fmt != _FORMAT:
         raise DataError(f"{path}: unknown checkpoint format {fmt!r}")

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .autoreg import density_grid, fit_chain, joint_log_density, sample_chain
-from .bnn import MLPArchitecture, sample_prior_cde
-from .checkpoint import Checkpoint, format_names, load_checkpoint, save_checkpoint
+from .checkpoint import (Checkpoint, format_names, load_checkpoint, read_kv, save_checkpoint,
+                         write_kv)
 from .data import (
     TOY_GENERATORS,
     apply_stats,
@@ -220,20 +220,7 @@ _META_KEYS = ("command", "version", "data_sha256")
 
 
 def parse_config_file(path):
-    kv = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno} is not 'key = value'")
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    return kv
+    return read_kv(path, ConfigError, "config file")
 
 
 def resolve_settings(command, config_path, overrides):
@@ -253,6 +240,9 @@ def resolve_settings(command, config_path, overrides):
         raise ConfigError(
             f"config file is for command {meta['command']!r}, not {command!r}"
         )
+    if meta.get("version", __version__) != __version__:
+        print(f"warning: these settings were written by flowcde {meta['version']} and this is "
+              f"flowcde {__version__}, so outputs can differ from that run's", file=sys.stderr)
 
     grid = {}
     if command == "grid-search":
@@ -302,11 +292,11 @@ def _sha256(path):
 
 
 def _manifest(command, raw, digest=None):
-    lines = [f"command = {command}", f"version = {__version__}"]
+    pairs = [("command", command), ("version", __version__)]
     if digest is not None:
-        lines.append(f"data_sha256 = {digest}")
-    text = "\n".join(lines + [f"{key} = {raw[key]}" for key in sorted(raw)]) + "\n"
-    return lambda path: path.write_text(text)
+        pairs.append(("data_sha256", digest))
+    pairs += [(key, raw[key]) for key in sorted(raw)]
+    return lambda path: write_kv(path, pairs)
 
 
 def _table(header, columns):
@@ -345,18 +335,17 @@ def _require(values, key):
 
 
 def _data_file(values, meta):
-    """The required data file; it must exist and, when the manifest records
-    a sha256, match it."""
+    """The required data file, hashed once: it must exist and, when the
+    manifest records a sha256, match it.  meta["data_sha256"] is then its
+    sha256, which every manifest the command writes records."""
     path = _require(values, "data")
     if not Path(path).is_file():
         raise DataError(f"data file not found: {path}")
-    if "data_sha256" in meta:
-        actual = _sha256(path)
-        if actual != meta["data_sha256"]:
-            raise DataError(
-                f"{path}: sha256 {actual} does not match the manifest's "
-                f"{meta['data_sha256']}"
-            )
+    actual = _sha256(path)
+    if meta.setdefault("data_sha256", actual) != actual:
+        raise DataError(
+            f"{path}: sha256 {actual} does not match the manifest's {meta['data_sha256']}"
+        )
     return path
 
 
@@ -636,12 +625,13 @@ def cmd_heatmap(values, raw, meta):
 
 def cmd_prior_sample(values, raw, meta):
     head = _head(values)
-    arch = MLPArchitecture(1, values["hidden"], head.output_dim)
     x_grid, y_grid = _axis(values, "x"), _axis(values, "y")
     grids = []
     for seed, lam, sb in product(values["seeds"], values["lambdas"], values["sigma_betas"]):
         prior = head.default_prior(values["sigma_w"], lam, sb)
-        dens = sample_prior_cde(arch, prior, head, seed, x_grid, y_grid)
+        model = CdeModel.prior_draw(head, 1, values["hidden"], seed, prior)
+        rng = np.random.default_rng(seed)  # draws noise that a sigma_q = 0 pass never reads
+        dens = np.exp(predictive_curve(model, x_grid[:, None], y_grid, 1, rng))
         name = f"prior_seed{seed}_lambda{lam:g}_beta{sb:g}.csv"
         _refuse_nan(dens, name)
         grids.append((name, _grid(("x", "y"), x_grid, y_grid, dens)))
@@ -676,11 +666,10 @@ def cmd_grid_search(values, raw, meta):
             f"{train_ds.n + valid_ds.n + test_ds.n} rows split into {train_ds.n} train, "
             f"{valid_ds.n} validation and {test_ds.n} test rows"
         )
-    digest = _sha256(values["data"])
     files, results = [], []
     for idx, (combo, sub_values, sub_raw, head, prior) in enumerate(runs):
         fitted, ckpt = _fit(sub_values, head, prior, loaded)
-        fitted.append(("manifest.cfg", _manifest("train", sub_raw, digest)))
+        fitted.append(("manifest.cfg", _manifest("train", sub_raw, meta["data_sha256"])))
         files += [(f"combo_{idx:03d}/{name}", write) for name, write in fitted]
         valid_ll, test_ll = [
             float(_mean_ll(ckpt, ds, values["mc_test"], values["seed"], True).mean())
@@ -754,7 +743,7 @@ def main(argv=None):
     try:
         values, raw, meta = resolve_settings(args.command, args.config, args.overrides)
         files, message = _DISPATCH[args.command](values, raw, meta)
-        digest = _sha256(values["data"]) if "data" in values else None
+        digest = meta["data_sha256"] if "data" in values else None  # set by _data_file
         out = Path(os.environ.get("FLOWCDE_OUT", ".")) / values["out"]
         for name, write in [*files, ("manifest.cfg", _manifest(args.command, raw, digest))]:
             (out / name).parent.mkdir(parents=True, exist_ok=True)

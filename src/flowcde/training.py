@@ -49,7 +49,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnn import BayesianMLP, MLPArchitecture, TapeParams, Workspace, draw_eps, init_posterior
+from .bnn import (BayesianMLP, MLPArchitecture, TapeParams, Workspace, draw_eps, init_posterior,
+                  sample_prior_parameters)
 from .errors import NumericError, StructuralError
 from .heads import logsumexp
 from .tape import Tape, Var
@@ -132,10 +133,25 @@ class CdeModel:
     def build(cls, head, n_features, hidden, seed, sigma_q, mode="fixed", prior=None):
         """``head`` on a fresh network of ``n_features`` feature inputs (plus
         the head's own), under ``prior`` or else ``head.default_prior()``."""
-        arch = MLPArchitecture(n_features + head.extra_input_dim, hidden, head.output_dim)
-        post = init_posterior(arch, seed=seed, sigma_init=sigma_q, mode=mode)
         prior = head.default_prior() if prior is None else prior
-        return cls(BayesianMLP(arch, post, prior, head.group_map()), head, head.init_extras())
+        return cls._on(head, n_features, hidden, prior,
+                       lambda arch: init_posterior(arch, seed=seed, sigma_init=sigma_q, mode=mode))
+
+    @classmethod
+    def prior_draw(cls, head, n_features, hidden, seed, prior):
+        """``head`` on the network bnn.sample_prior_parameters draws from
+        ``prior`` at ``seed``: a sigma_q = 0 posterior, so every pass is
+        that one network's and reads no activation noise."""
+        return cls._on(head, n_features, hidden, prior,
+                       lambda arch: sample_prior_parameters(arch, prior, head.group_map(), seed))
+
+    @classmethod
+    def _on(cls, head, n_features, hidden, prior, posterior):
+        """``head`` on the network ``posterior(arch)`` of ``n_features``
+        feature inputs plus the head's own."""
+        arch = MLPArchitecture(n_features + head.extra_input_dim, hidden, head.output_dim)
+        return cls(BayesianMLP(arch, posterior(arch), prior, head.group_map()), head,
+                   head.init_extras())
 
     @property
     def n_features(self):

@@ -33,7 +33,6 @@ from flowcde.bnn import (
     MLPArchitecture,
     PriorConfig,
     init_posterior,
-    sample_prior_cde,
     sample_prior_parameters,
 )
 from flowcde.cli import main
@@ -52,6 +51,7 @@ from flowcde.training import (
     TrainConfig,
     free_energy,
     free_energy_value,
+    predictive_curve,
     predictive_log_density,
     train,
 )
@@ -428,7 +428,8 @@ def test_criterion_09_prior_manifold_gaussian_columns_and_lambda_spread():
     y_grid = np.linspace(-12.0, 12.0, 961)
 
     # zero beta-hat prior scale: every column must be an exact unit Gaussian
-    dens = sample_prior_cde(arch, head.default_prior(1.0, 1.0, 0.0), head, 7, x_grid, y_grid)
+    model = CdeModel.prior_draw(head, 1, (50,), 7, head.default_prior(1.0, 1.0, 0.0))
+    dens = np.exp(predictive_curve(model, x_grid[:, None], y_grid, 1, np.random.default_rng(7)))
     worst_ks = 0.0
     for col in dens:
         mass = np.trapezoid(col, y_grid)

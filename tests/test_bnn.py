@@ -17,12 +17,12 @@ from flowcde.bnn import (
     draw_eps,
     init_posterior,
     prior_outputs,
-    sample_prior_cde,
     sample_prior_parameters,
 )
 from flowcde.errors import ConfigError, NumericError, StructuralError
 from flowcde.heads import NFHead, make_head
 from flowcde.tape import Tape
+from flowcde.training import CdeModel, predictive_curve
 from mlp_reference import mlp_forward
 
 
@@ -444,12 +444,20 @@ def test_sample_prior_parameters_formula():
     assert post.sigma_q == 0.0
 
 
+def prior_grid(head, hidden, prior, seed, xg, yg):
+    """The density grid prior-sample writes: exp of the predictive curve of
+    the model on the network drawn from the prior."""
+    model = CdeModel.prior_draw(head, 1, hidden, seed, prior)
+    rng = np.random.default_rng(seed)
+    return np.exp(predictive_curve(model, np.reshape(xg, (-1, 1)), yg, 1, rng))
+
+
 def test_prior_cde_zero_beta_is_gaussian():
     arch = MLPArchitecture(1, (10,), 4)
     prior = NFHead(1).default_prior(sigma_w=1.0, lambda_=1.0, sigma_beta=0.0)
     xg = np.linspace(-2, 2, 9)
     yg = np.linspace(-6, 6, 121)
-    grid = sample_prior_cde(arch, prior, NFHead(1), 3, xg, yg)
+    grid = prior_grid(NFHead(1), (10,), prior, 3, xg, yg)
     post = sample_prior_parameters(arch, prior, NFHead(1).group_map(), 3)
     omega = mlp_forward(post.w_means, post.b_means, xg.reshape(-1, 1), 1.0)
     for i in range(xg.size):
@@ -474,7 +482,7 @@ def test_prior_draw_runs_the_network_pass_bit_for_bit_like_the_reference(name):
         if arch.input_dim == 1:
             dens = np.exp(head.log_density_rows_np(
                 want[None], np.broadcast_to(yg, (6, yg.size)), head.init_extras())[0])
-            assert np.array_equal(sample_prior_cde(arch, prior, head, trial, x[:, 0], yg), dens)
+            assert np.array_equal(prior_grid(head, hidden, prior, trial, x, yg), dens)
 
 
 def test_prior_vectors_need_a_partition_and_every_group_prior():
@@ -486,11 +494,10 @@ def test_prior_vectors_need_a_partition_and_every_group_prior():
 
 
 def test_prior_cde_columns_normalized():
-    arch = MLPArchitecture(1, (10,), 7)
     prior = NFHead(1).default_prior(sigma_w=1.0, lambda_=2.0, sigma_beta=1.0)
     xg = np.linspace(-2, 2, 5)
     yg = np.linspace(-12, 12, 2401)
-    grid = sample_prior_cde(arch, prior, NFHead(2), 11, xg, yg)
+    grid = prior_grid(NFHead(2), (10,), prior, 11, xg, yg)
     masses = np.trapezoid(grid, yg, axis=1)
     assert np.all(np.abs(masses - 1.0) < 1e-2)
 

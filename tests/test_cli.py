@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowcde import autoreg, cli
+from flowcde import __version__, autoreg, cli
 from flowcde.autoreg import joint_log_density, sample_chain
 from flowcde.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowcde.cli import _quantiles, main, parse_config_file, resolve_settings
@@ -133,6 +134,30 @@ def test_config_file_parser(tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("just words\n")
         parse_config_file(str(bad))
+
+
+def test_a_config_file_with_a_duplicate_key_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("iterations = 1\nseed = 3\niterations = 2\n")
+    assert run("train", "--config", cfg) == 2
+    assert f"config error: {cfg}: duplicate key 'iterations'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", ["0.0", __version__], ids=["older", "current"])
+def test_a_manifest_of_another_version_warns_on_one_line(toy, tmp_path, capsys, version):
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text((toy / "manifest.cfg").read_text().replace(
+        f"version = {__version__}\n", f"version = {version}\n"))
+    assert f"version = {version}\n" in cfg.read_text()
+    out = tmp_path / "toy"
+    assert run("gen-toy", "--config", cfg, f"out={out}") == 0
+    err = capsys.readouterr().err.splitlines()
+    if version == __version__:
+        assert err == []
+    else:
+        assert len(err) == 1 and f"flowcde {version} " in err[0] and __version__ in err[0], err
+    for name in ("data.csv", "truth.csv"):
+        assert (out / name).read_bytes() == (toy / name).read_bytes()
 
 
 def test_missing_config_file_is_config_error():
@@ -350,6 +375,28 @@ def test_train_refuses_before_writing_any_file(tmp_path, capsys, header, setting
     assert _train_small(data, out, *settings) == code
     assert message in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["train-rerun", "grid-search"])
+def test_a_command_hashes_its_data_file_once(trained, toy, tmp_path, monkeypatch, command):
+    calls, real = [], cli._sha256
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting)
+    out = tmp_path / "out"
+    argv = {"train-rerun": ["train", "--config", trained / "manifest.cfg"],
+            "grid-search": ["grid-search", f"data={toy / 'data.csv'}", "features=x", "hidden=4",
+                            "iterations=2", "mc_train=2", "mc_test=2", "grid.seed=0;1"]}[command]
+    assert run(*argv, f"out={out}") == 0
+    assert calls == [str(toy / "data.csv")]
+    # every manifest the command writes records that one digest
+    digest = real(toy / "data.csv")
+    manifests = sorted(out.rglob("*manifest.cfg"))
+    assert len(manifests) == {"train-rerun": 1, "grid-search": 4}[command]
+    assert all(parse_config_file(m)["data_sha256"] == digest for m in manifests)
 
 
 def test_data_hash_mismatch_exits_3(toy, tmp_path):
@@ -953,6 +1000,18 @@ def test_prior_sample_writes_one_grid_per_combo(tmp_path):
     files = sorted(p.name for p in out.glob("prior_*.csv"))
     assert len(files) == 8
     assert "prior_seed0_lambda1_beta0.csv" in files
+
+
+def test_a_large_prior_grid_is_scored_in_bounded_memory(tmp_path):
+    # 1000 x 1000 cells go through the blocked prediction loop, so the peak
+    # is about the grid and its exp, not the head's arrays over every cell
+    tracemalloc.start()
+    try:
+        assert run("prior-sample", "x_points=1000", "y_points=1000", f"out={tmp_path}") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def test_prior_sample_zero_beta_gives_unit_gaussian_columns(tmp_path):

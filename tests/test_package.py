@@ -24,11 +24,12 @@ def test_every_name_in_each_all_exists():
         assert not missing, (module.__name__, missing)
 
 
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
 def test_pyproject_version_is_the_package_version():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    # pyproject.toml declares the version dynamic, read from flowcde.__version__
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == flowcde.__version__
+    assert pyprojecttoml.read_configuration(pyproject)["project"]["version"] == flowcde.__version__
 
 
 def test_only_the_heads_module_names_a_heads_output_groups():
@@ -53,6 +54,22 @@ def test_only_the_heads_module_names_a_heads_output_groups():
             and node.value in groups and id(node) not in docstrings
         ]
     assert not found
+
+
+def test_only_training_and_the_heads_call_a_heads_density():
+    # the network layer stays below the heads: a density grid, the prior's
+    # included, is scored through training's prediction loop
+    calls = []
+    for path in sorted(Path(flowcde.__file__).parent.glob("*.py")):
+        if path.name in ("training.py", "heads.py"):
+            continue
+        calls += [
+            (path.name, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log_density_rows_np"
+        ]
+    assert not calls
 
 
 def test_runtime_imports_are_numpy_and_the_standard_library():
