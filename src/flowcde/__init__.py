@@ -38,7 +38,7 @@ from .training import (
     train,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AutoregModel",

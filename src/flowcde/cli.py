@@ -216,7 +216,8 @@ SETTINGS["grid-search"] = dict(SETTINGS["train"])
 # with one mc_test into one out, so none of these can vary between them
 _SHARED_KEYS = (*_DATA_KEYS, "out", "mc_test")
 
-_META_KEYS = ("command", "version", "data_sha256")
+_INPUT_FILES = ("data", "checkpoint")  # settings naming a file that manifests pin
+_META_KEYS = ("command", "version", *(f"{key}_sha256" for key in _INPUT_FILES))
 
 
 def parse_config_file(path):
@@ -291,10 +292,10 @@ def _sha256(path):
 # Writers: each takes the file's path and writes what it was built with.
 
 
-def _manifest(command, raw, digest=None):
+def _manifest(command, raw, meta):
+    """The settings `raw`, after the sha256 of each input file they name."""
     pairs = [("command", command), ("version", __version__)]
-    if digest is not None:
-        pairs.append(("data_sha256", digest))
+    pairs += [(f"{key}_sha256", meta[f"{key}_sha256"]) for key in _INPUT_FILES if key in raw]
     pairs += [(key, raw[key]) for key in sorted(raw)]
     return lambda path: write_kv(path, pairs)
 
@@ -334,18 +335,16 @@ def _require(values, key):
     return values[key]
 
 
-def _data_file(values, meta):
-    """The required data file, hashed once: it must exist and, when the
-    manifest records a sha256, match it.  meta["data_sha256"] is then its
-    sha256, which every manifest the command writes records."""
-    path = _require(values, "data")
+def _input_file(values, meta, key):
+    """The required file that setting `key` names, hashed once: it must exist
+    and, when the manifest records `key`_sha256, match it.  meta[`key`_sha256]
+    is then its sha256, which every manifest the command writes records."""
+    path = _require(values, key)
     if not Path(path).is_file():
-        raise DataError(f"data file not found: {path}")
-    actual = _sha256(path)
-    if meta.setdefault("data_sha256", actual) != actual:
-        raise DataError(
-            f"{path}: sha256 {actual} does not match the manifest's {meta['data_sha256']}"
-        )
+        raise DataError(f"{key} file not found: {path}")
+    actual, pinned = _sha256(path), f"{key}_sha256"
+    if meta.setdefault(pinned, actual) != actual:
+        raise DataError(f"{path}: sha256 {actual} does not match the manifest's {meta[pinned]}")
     return path
 
 
@@ -393,7 +392,7 @@ def _prior(values, head):
 def _load(values, meta):
     """Read, split and normalize the data file; returns (feature names, split
     indices, (train, valid, test) raw rows, normalized train rows, stats)."""
-    ds = _read_csv(_data_file(values, meta), values["features"], values["targets"],
+    ds = _read_csv(_input_file(values, meta, "data"), values["features"], values["targets"],
                    values["cyclic"])
     format_names(ds.feature_names + values["targets"])  # names the checkpoint can store
     parts_ds, parts = split(ds, values["split"], values["split_seed"])
@@ -475,8 +474,8 @@ def cmd_train(values, raw, meta):
 
 
 def cmd_eval(values, raw, meta):
-    ckpt = load_checkpoint(_require(values, "checkpoint"))
-    ds = _read_csv(_data_file(values, meta), ckpt.features, ckpt.targets, ckpt.cyclic)
+    ckpt = load_checkpoint(_input_file(values, meta, "checkpoint"))
+    ds = _read_csv(_input_file(values, meta, "data"), ckpt.features, ckpt.targets, ckpt.cyclic)
     ll = _mean_ll(ckpt, ds, values["mc"], values["seed"], values["raw_units"])
     n = ll.size
     mean = float(ll.mean())
@@ -490,7 +489,7 @@ def cmd_eval(values, raw, meta):
 
 
 def cmd_sample(values, raw, meta):
-    ckpt = load_checkpoint(_require(values, "checkpoint"))
+    ckpt = load_checkpoint(_input_file(values, meta, "checkpoint"))
     x_row = _normalize_condition(ckpt, _condition(ckpt, _require(values, "condition")))
     if np.isnan(x_row).any():
         raise ConfigError("sampling requires a fully specified condition")
@@ -516,13 +515,15 @@ _QUANTILE_LEVELS = np.array([0.5, 0.025, 0.975])
 def _quantiles(grid, pdf):
     """(rows, 3) median, q025 and q975 of each density row (rows, G).
 
-    The CDF is the trapezoid quadrature of each row on the ascending grid,
-    normalized, and read between nodes as np.interp reads it; each level is
-    found by 100 bisection halvings of [grid[0], grid[-1]], all rows at once.
+    The CDF c is the trapezoid quadrature of each row on the ascending grid
+    g, normalized, and read between nodes as np.interp reads it.  A level L
+    has j CDF nodes below it, so c[j - 1] < L <= c[j], and its quantile is
+    the leftmost point where the CDF reaches L: g[j - 1] + (L - c[j - 1]) /
+    (c[j] - c[j - 1]) * (g[j] - g[j - 1]).  Levels are counted one at a time,
+    so one (rows, G) mask is live.
     """
-    steps = np.diff(grid)
     cdf = np.zeros(pdf.shape)
-    np.cumsum(steps * 0.5 * (pdf[:, 1:] + pdf[:, :-1]), axis=1, out=cdf[:, 1:])
+    np.cumsum(np.diff(grid) * 0.5 * (pdf[:, 1:] + pdf[:, :-1]), axis=1, out=cdf[:, 1:])
     mass = cdf[:, -1]
     bad = np.flatnonzero(~((0.0 < mass) & (mass < math.inf)))
     if bad.size:
@@ -532,23 +533,9 @@ def _quantiles(grid, pdf):
             "grid; refusing to write quantiles"
         )
     cdf /= cdf[:, -1:]
-    first = np.arange(pdf.shape[0])[:, None] * grid.size  # flat index of each row
-    lo = np.full((pdf.shape[0], _QUANTILE_LEVELS.size), grid[0])
-    hi = np.full_like(lo, grid[-1])
-    # A step too short for its CDF rise gives an inf slope, and inf * 0 on a
-    # node; np.interp returns the node value there, and so does np.where.
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = np.zeros(pdf.shape)  # slope[:, j] holds on [grid[j], grid[j + 1])
-        slope[:, :-1] = np.diff(cdf, axis=1) / steps
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            j = np.searchsorted(grid, mid, side="right") - 1
-            left, node = grid[j], cdf.take(first + j)
-            line = slope.take(first + j) * (mid - left) + node
-            below = np.where(mid == left, node, line) < _QUANTILE_LEVELS
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    j = np.stack([(cdf < level).sum(axis=1) for level in _QUANTILE_LEVELS], axis=1)
+    c_lo, c_hi = np.take_along_axis(cdf, j - 1, axis=1), np.take_along_axis(cdf, j, axis=1)
+    return grid[j - 1] + (_QUANTILE_LEVELS - c_lo) / (c_hi - c_lo) * (grid[j] - grid[j - 1])
 
 
 def _heatmap_1d(values, ckpt, cond):
@@ -617,7 +604,7 @@ def _heatmap_2d(values, ckpt, cond):
 
 
 def cmd_heatmap(values, raw, meta):
-    ckpt = load_checkpoint(_require(values, "checkpoint"))
+    ckpt = load_checkpoint(_input_file(values, meta, "checkpoint"))
     draw = _heatmap_2d if ckpt.kind == "autoreg" else _heatmap_1d
     return (draw(values, ckpt, _condition(ckpt, values["condition"])),
             lambda out: f"wrote {out / 'heatmap.csv'}")
@@ -669,7 +656,7 @@ def cmd_grid_search(values, raw, meta):
     files, results = [], []
     for idx, (combo, sub_values, sub_raw, head, prior) in enumerate(runs):
         fitted, ckpt = _fit(sub_values, head, prior, loaded)
-        fitted.append(("manifest.cfg", _manifest("train", sub_raw, meta["data_sha256"])))
+        fitted.append(("manifest.cfg", _manifest("train", sub_raw, meta)))
         files += [(f"combo_{idx:03d}/{name}", write) for name, write in fitted]
         valid_ll, test_ll = [
             float(_mean_ll(ckpt, ds, values["mc_test"], values["seed"], True).mean())
@@ -743,9 +730,8 @@ def main(argv=None):
     try:
         values, raw, meta = resolve_settings(args.command, args.config, args.overrides)
         files, message = _DISPATCH[args.command](values, raw, meta)
-        digest = meta["data_sha256"] if "data" in values else None  # set by _data_file
         out = Path(os.environ.get("FLOWCDE_OUT", ".")) / values["out"]
-        for name, write in [*files, ("manifest.cfg", _manifest(args.command, raw, digest))]:
+        for name, write in [*files, ("manifest.cfg", _manifest(args.command, raw, meta))]:
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             write(out / name)
         print(message(out))

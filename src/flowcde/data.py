@@ -336,41 +336,34 @@ def save_csv(path, ds):
         write_table(fh, [*ds.x.T, *ds.y.T], newline="\r\n")
 
 
-def _cells(column):
-    """%.17g cells of a float NumPy column; the str of each item of any other."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind != "f":
-            return list(map(str, column.tolist()))
-        return list(map(format, column.tolist(), repeat(".17g")))
-    return map(str, column)
-
-
-def _write_lines(fh, cells, newline):
-    # cells is a list, not a generator: unpacking a generator into zip(*...)
-    # resizes a fresh tuple per call, and CPython's free list keeps up to
-    # 2000 of them, which shows as memory growing with the row count
-    fh.write(newline.join(map(",".join, zip(*cells))) + newline)
-
-
 def write_table(fh, columns, newline="\n"):
     """Stream equal-length columns to an open text file as CSV lines.
 
     A float NumPy column is written %.17g, so a round trip is bit-exact; any
-    other column (row numbers, indices, option strings) is written with str.  Each write
-    carries BLOCK_LINES lines.
+    other column (row numbers, indices, option strings) is written with str.
+    Each write is one line template, repeated for BLOCK_LINES lines, % the
+    block's cells.
     """
+    line = ",".join("%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s"
+                    for c in columns) + newline
+    block = line * BLOCK_LINES
     for start in range(0, len(columns[0]), BLOCK_LINES):
-        _write_lines(fh, [_cells(c[start : start + BLOCK_LINES]) for c in columns], newline)
+        cells = [c[start : start + BLOCK_LINES] for c in columns]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+        rows = len(cells[0])
+        fh.write((block if rows == BLOCK_LINES else line * rows)
+                 % tuple(chain.from_iterable(zip(*cells))))
 
 
 def write_grid(fh, g1, g2, values):
     """Stream one `g1[a],g2[b],values[a, b]` line per cell, a-major, at %.17g.
 
-    Each write carries one grid row, and each axis is formatted once.
+    Each write is one grid row: its `g1[a],g2[b],%.17g` line template % the
+    row's values.  Each axis is formatted once.
     """
-    g2_cells = _cells(g2)
+    tails = ["", *(f"{b:.17g},%.17g\n" for b in np.asarray(g2).tolist())]
     for a, row in zip(g1, values):
-        _write_lines(fh, [repeat(format(a, ".17g")), g2_cells, _cells(row)], "\n")
+        fh.write(f"{a:.17g},".join(tails) % tuple(row.tolist()))
 
 
 # -- splitting ------------------------------------------------------------------
@@ -418,8 +411,6 @@ def load_split_indices(path):
 
 # -- synthetic generators ---------------------------------------------------------
 
-TOY_GENERATORS = ("heteroscedastic-bimodal", "gaussian-shift", "spatial-two-cluster")
-
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -429,6 +420,31 @@ def _bimodal_parts(x):
     return m, s
 
 
+def _bimodal_sample(rng, n):
+    x = rng.uniform(-2.0, 2.0, n)
+    m, s = _bimodal_parts(x)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    return x, sign * m + s * rng.standard_normal(n)
+
+
+def _bimodal_log_density(x, y):
+    y = y.reshape(-1)
+    m, s = _bimodal_parts(x)
+    lo = -0.5 * _LOG_2PI - np.log(s)
+    lp = lo - 0.5 * ((y - m) / s) ** 2
+    lm = lo - 0.5 * ((y + m) / s) ** 2
+    return np.logaddexp(lp, lm) - math.log(2.0)
+
+
+def _shift_sample(rng, n):
+    x = rng.uniform(-3.0, 3.0, n)
+    return x, np.sin(x) + 0.1 * rng.standard_normal(n)
+
+
+def _shift_log_density(x, y):
+    return -0.5 * _LOG_2PI - math.log(0.1) - 0.5 * ((y.reshape(-1) - np.sin(x)) / 0.1) ** 2
+
+
 def _two_cluster_parts(x):
     w = 0.35 + 0.3 * x
     c1 = np.stack([-1.0 - 0.5 * x, -0.5 + 0.2 * x], axis=-1)
@@ -436,58 +452,51 @@ def _two_cluster_parts(x):
     return w, c1, c2, 0.25, 0.35
 
 
+def _two_cluster_sample(rng, n):
+    x = rng.uniform(0.0, 1.0, n)
+    w, c1, c2, s1, s2 = _two_cluster_parts(x)
+    pick = rng.random(n) < w
+    centers = np.where(pick[:, None], c1, c2)
+    scales = np.where(pick, s1, s2)
+    return x, centers + scales[:, None] * rng.standard_normal((n, 2))
+
+
+def _two_cluster_log_density(x, y):
+    y = y.reshape(-1, 2)
+    w, c1, c2, s1, s2 = _two_cluster_parts(x)
+    q1 = ((y - c1) ** 2).sum(axis=1)
+    q2 = ((y - c2) ** 2).sum(axis=1)
+    l1 = np.log(w) - _LOG_2PI - 2 * math.log(s1) - 0.5 * q1 / s1**2
+    l2 = np.log1p(-w) - _LOG_2PI - 2 * math.log(s2) - 0.5 * q2 / s2**2
+    return np.logaddexp(l1, l2)
+
+
+# each generator's sampler (rng, n) -> (x, y) and closed-form log density
+_TOYS = {
+    "heteroscedastic-bimodal": (_bimodal_sample, _bimodal_log_density),
+    "gaussian-shift": (_shift_sample, _shift_log_density),
+    "spatial-two-cluster": (_two_cluster_sample, _two_cluster_log_density),
+}
+TOY_GENERATORS = tuple(_TOYS)
+
+
+def _toy(name):
+    if name not in _TOYS:
+        raise ConfigError(f"unknown generator {name!r} (expected one of {TOY_GENERATORS})")
+    return _TOYS[name]
+
+
 def toy_true_log_density(name, x, y):
     """Closed-form generator log density; x (N,) or (N,1); y (N,) or (N,T)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float)
-    if name == "heteroscedastic-bimodal":
-        y = y.reshape(-1)
-        m, s = _bimodal_parts(x)
-        lo = -0.5 * _LOG_2PI - np.log(s)
-        lp = lo - 0.5 * ((y - m) / s) ** 2
-        lm = lo - 0.5 * ((y + m) / s) ** 2
-        return np.logaddexp(lp, lm) - math.log(2.0)
-    if name == "gaussian-shift":
-        y = y.reshape(-1)
-        return -0.5 * _LOG_2PI - math.log(0.1) - 0.5 * ((y - np.sin(x)) / 0.1) ** 2
-    if name == "spatial-two-cluster":
-        y = y.reshape(-1, 2)
-        w, c1, c2, s1, s2 = _two_cluster_parts(x)
-        q1 = ((y - c1) ** 2).sum(axis=1)
-        q2 = ((y - c2) ** 2).sum(axis=1)
-        l1 = np.log(w) - _LOG_2PI - 2 * math.log(s1) - 0.5 * q1 / s1**2
-        l2 = np.log1p(-w) - _LOG_2PI - 2 * math.log(s2) - 0.5 * q2 / s2**2
-        return np.logaddexp(l1, l2)
-    raise ConfigError(f"unknown generator {name!r} (expected one of {TOY_GENERATORS})")
+    log_density = _toy(name)[1]
+    return log_density(np.asarray(x, dtype=float).reshape(-1), np.asarray(y, dtype=float))
 
 
 def toy_generator(name, n, seed):
     """(Dataset, true per-point log density). Deterministic under seed."""
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    if name == "heteroscedastic-bimodal":
-        x = rng.uniform(-2.0, 2.0, n)
-        m, s = _bimodal_parts(x)
-        sign = rng.choice([-1.0, 1.0], size=n)
-        y = sign * m + s * rng.standard_normal(n)
-        ds = Dataset(x[:, None], y, feature_names=("x",))
-    elif name == "gaussian-shift":
-        x = rng.uniform(-3.0, 3.0, n)
-        y = np.sin(x) + 0.1 * rng.standard_normal(n)
-        ds = Dataset(x[:, None], y, feature_names=("x",))
-    elif name == "spatial-two-cluster":
-        x = rng.uniform(0.0, 1.0, n)
-        w, c1, c2, s1, s2 = _two_cluster_parts(x)
-        pick = rng.random(n) < w
-        centers = np.where(pick[:, None], c1, c2)
-        scales = np.where(pick, s1, s2)
-        y = centers + scales[:, None] * rng.standard_normal((n, 2))
-        ds = Dataset(
-            x[:, None], y, feature_names=("x",), target_names=("y1", "y2")
-        )
-    else:
-        raise ConfigError(
-            f"unknown generator {name!r} (expected one of {TOY_GENERATORS})"
-        )
+    x, y = _toy(name)[0](np.random.default_rng(seed), n)
+    targets = ("y",) if y.ndim == 1 else ("y1", "y2")
+    ds = Dataset(x[:, None], y, feature_names=("x",), target_names=targets)
     return ds, toy_true_log_density(name, ds.x[:, 0], ds.y)

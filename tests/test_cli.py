@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,63 @@ def test_data_hash_mismatch_exits_3(toy, tmp_path):
         f"out={tmp_path / 'x'}",
     )
     assert code == 3
+
+
+_READERS = {"eval": ["data={data}", "mc=2"], "sample": ["condition=0.5", "n=5"],
+            "heatmap": ["condition=nan", "x_points=3", "y_points=5", "mc=2"]}
+
+
+def _run_reader(command, ckpt, data, out):
+    settings = [s.format(data=data) for s in _READERS[command]]
+    return run(command, f"checkpoint={ckpt}", *settings, f"out={out}")
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_a_rerun_after_its_checkpoint_changed_exits_3_and_writes_nothing(
+        toy, tmp_path, capsys, command):
+    # a manifest pins the checkpoint it read as it pins the data file
+    ckpt = tmp_path / "m" / "checkpoint.ckpt"
+    assert _train_small(toy / "data.csv", tmp_path / "m") == 0
+    first = tmp_path / "first"
+    assert _run_reader(command, ckpt, toy / "data.csv", first) == 0
+    before = cli._sha256(ckpt)
+    assert parse_config_file(first / "manifest.cfg")["checkpoint_sha256"] == before
+    assert _train_small(toy / "data.csv", tmp_path / "m", "seed=1") == 0
+    after = cli._sha256(ckpt)
+    assert after != before
+    capsys.readouterr()
+    out = tmp_path / "rerun"
+    assert run(command, "--config", first / "manifest.cfg", f"out={out}") == 3
+    assert (f"data error: {ckpt}: sha256 {after} does not match the manifest's {before}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_manifest_without_a_checkpoint_sha256_still_runs(trained, toy, tmp_path, capsys):
+    # a 0.5.0 manifest pins no checkpoint: it re-runs, and its re-run pins it
+    first = tmp_path / "first"
+    assert _run_reader("heatmap", trained / "checkpoint.ckpt", None, first) == 0
+    text = (first / "manifest.cfg").read_text()
+    old = "".join(line for line in text.splitlines(keepends=True)
+                  if not line.startswith("checkpoint_sha256"))
+    assert old != text
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(old.replace(f"version = {__version__}\n", "version = 0.5.0\n"))
+    out = tmp_path / "rerun"
+    assert run("heatmap", "--config", cfg, f"out={out}") == 0
+    assert "flowcde 0.5.0" in capsys.readouterr().err
+    for name in ("heatmap.csv", "quantiles.csv"):
+        assert (out / name).read_bytes() == (first / name).read_bytes()
+    pinned = [parse_config_file(d / "manifest.cfg")["checkpoint_sha256"] for d in (first, out)]
+    assert pinned[0] == pinned[1]
+
+
+def test_a_missing_checkpoint_exits_3_naming_it(toy, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run_reader("eval", tmp_path / "nope.ckpt", toy / "data.csv", out) == 3
+    assert f"data error: checkpoint file not found: {tmp_path / 'nope.ckpt'}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 _DROP_STATS = {
@@ -885,21 +943,14 @@ def test_heatmap_without_quantiles_takes_any_target_grid(trained, tmp_path):
         assert not (out / "quantiles.csv").exists()
 
 
-# -- heatmap quantiles against the per-row bisection they replaced -------------------
+# -- heatmap quantiles against the exact crossing of their CDF -----------------------
 
 
-def _invert_cdf(grid, cdf, q):
-    lo, hi = float(grid[0]), float(grid[-1])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.interp(mid, grid, cdf) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _quantile_row(grid, log_pdf, row):
+def _exact_quantile_row(grid, log_pdf, row):
+    """For each level: its exact crossing of the row's normalized float
+    trapezoid CDF, read linearly between nodes, and the crossed segment's end
+    nodes.  The crossing is the leftmost point where the CDF reaches the
+    level, in Fractions."""
     pdf = np.exp(log_pdf)
     cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (pdf[1:] + pdf[:-1]))])
     if not 0.0 < cdf[-1] < math.inf:
@@ -908,7 +959,13 @@ def _quantile_row(grid, log_pdf, row):
             "grid; refusing to write quantiles"
         )
     cdf /= cdf[-1]
-    return [_invert_cdf(grid, cdf, q) for q in (0.5, 0.025, 0.975)]
+    out = []
+    for q in (0.5, 0.025, 0.975):
+        j = next(j for j, c in enumerate(cdf) if c >= q)
+        lo, hi = Fraction(grid[j - 1]), Fraction(grid[j])
+        rise = (Fraction(q) - Fraction(cdf[j - 1])) / (Fraction(cdf[j]) - Fraction(cdf[j - 1]))
+        out.append((lo + rise * (hi - lo), grid[j - 1], grid[j]))
+    return out
 
 
 @st.composite
@@ -927,21 +984,26 @@ def _log_pdf_rows(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_log_pdf_rows())
-# steps so small that a CDF slope overflows to inf: np.interp still returns
-# the node value when a bisection point lands on a node
+# subnormal steps, whose CDF slopes overflow to inf: the flat row's median
+# is 2e-310, and a slope-based search reads the CDF as a staircase
 @example(case=(np.arange(5) * 1e-310, np.array([[0.0] * 5, [-1.0, 0.0, -3.0, 0.5, 0.0]])))
-def test_quantiles_equal_the_per_row_bisection(case):
+def test_quantiles_are_the_exact_crossing_of_the_float_cdf(case):
     grid, log_pdf = case
     try:
-        old = np.array([_quantile_row(grid, row, a) for a, row in enumerate(log_pdf)])
+        exact = [_exact_quantile_row(grid, row, a) for a, row in enumerate(log_pdf)]
     except NumericError as err:
         with pytest.raises(NumericError) as new_err:
             _quantiles(grid, np.exp(log_pdf))
         assert str(new_err.value) == str(err)
         return
-    new = _quantiles(grid, np.exp(log_pdf))
-    assert new.shape == old.shape
-    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    got = _quantiles(grid, np.exp(log_pdf))
+    assert got.shape == (len(exact), 3)
+    for row, levels in zip(got, exact):
+        for value, (crossing, lo, hi) in zip(row, levels):
+            # the closed form rounds six times, each within an ulp of an end
+            # node: |error| <= 6 u (|lo| + |hi|), u = 2**-53, with u |g| < ulp(g)
+            ulps = Fraction(np.spacing(abs(lo))) + Fraction(np.spacing(abs(hi)))
+            assert abs(Fraction(value) - crossing) <= 6 * ulps, (value, float(crossing))
 
 
 def test_quantiles_name_the_first_zero_mass_row():

@@ -241,6 +241,45 @@ def test_writers_match_the_per_cell_format():
     )
 
 
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, math.inf, -math.inf]),
+)
+_COLUMNS = st.sampled_from(["float", "int", "str", "range"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(draws=st.data(), rows=st.integers(0, 9), block=st.integers(1, 4),
+       kinds=st.lists(_COLUMNS, min_size=1, max_size=4), newline=st.sampled_from(["\n", "\r\n"]))
+def test_writers_match_a_per_cell_reference(draws, rows, block, kinds, newline):
+    # a float ndarray column is written format(v, ".17g"), any other with str
+    make = {
+        "float": lambda: np.array(draws.draw(st.lists(_FLOATS, min_size=rows, max_size=rows)),
+                                  dtype=float),
+        "int": lambda: np.array(draws.draw(st.lists(st.integers(-2**62, 2**62), min_size=rows,
+                                                   max_size=rows)), dtype=np.int64),
+        "str": lambda: draws.draw(st.lists(st.text("ab%,s.0-", max_size=4), min_size=rows,
+                                          max_size=rows)),
+        "range": lambda: range(3, 3 + rows),
+    }
+    columns = [make[k]() for k in kinds]
+    cells = [[format(v, ".17g") for v in c.tolist()] if k == "float" else list(map(str, c))
+             for k, c in zip(kinds, columns)]
+    fh = io.StringIO()
+    with unittest.mock.patch.object(data, "BLOCK_LINES", block):
+        write_table(fh, columns, newline=newline)
+    assert fh.getvalue() == "".join(",".join(r) + newline for r in zip(*cells))
+    g1, g2 = (np.array(draws.draw(st.lists(_FLOATS, max_size=4))) for _ in range(2))
+    values = np.array(draws.draw(st.lists(_FLOATS, min_size=g1.size * g2.size,
+                                         max_size=g1.size * g2.size))).reshape(g1.size, g2.size)
+    fh = io.StringIO()
+    write_grid(fh, g1, g2, values)
+    assert fh.getvalue() == "".join(
+        f"{format(a, '.17g')},{format(b, '.17g')},{format(values[i, j], '.17g')}\n"
+        for i, a in enumerate(g1.tolist()) for j, b in enumerate(g2.tolist())
+    )
+
+
 def test_save_csv_keeps_crlf_and_quotes_only_the_header(tmp_path):
     ds = Dataset(EXTREMES[:, None], EXTREMES[::-1], feature_names=("a,b",))
     p = tmp_path / "d.csv"
